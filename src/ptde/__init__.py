@@ -38,7 +38,7 @@ from .metrics import (
     per_category_eval,
     roc_curve,
 )
-from .pose import PoseFrame, parse_pose_document, pool_pose, pose_feature
+from .pose import parse_pose_document, pool_pose, pose_feature
 from .scoring import (
     HeadGradients,
     ScoringHead,
@@ -62,7 +62,6 @@ __all__ = [
     "HeadGradients",
     "LossBreakdown",
     "Manifest",
-    "PoseFrame",
     "PtdeError",
     "RocCurve",
     "ScoredSegment",

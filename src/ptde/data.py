@@ -15,7 +15,9 @@ bit-exact.
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +138,17 @@ class Manifest:
     metadata: dict
     path: Path
 
+    @cached_property
+    def _records_by_id(self) -> dict[str, VideoRecord]:
+        return {rec.video_id: rec for rec in self.videos}
+
     def record(self, video_id: str) -> VideoRecord:
-        for rec in self.videos:
-            if rec.video_id == video_id:
-                return rec
-        raise UnknownVideo(f"video id {video_id!r} not in manifest {self.path}")
+        try:
+            return self._records_by_id[video_id]
+        except KeyError:
+            raise UnknownVideo(
+                f"video id {video_id!r} not in manifest {self.path}"
+            ) from None
 
     def split_records(self, split: str) -> tuple[VideoRecord, ...]:
         return tuple(rec for rec in self.videos if rec.split == split)
@@ -168,7 +176,8 @@ def load_manifest(path) -> Manifest:
         raise ManifestSyntax(f"cannot read manifest {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # bad syntax, an integer past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ManifestSyntax(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestSyntax(f"{path}: top level must be an object")
@@ -191,8 +200,13 @@ def load_manifest(path) -> Manifest:
             f"{path}: segment_length must be a positive multiple of "
             f"{clip_length}, got {segment_length}"
         )
-    if not isinstance(width, int) or not isinstance(height, int) or width < 1 or height < 1:
-        raise ManifestSyntax(f"{path}: image dimensions must be positive integers")
+    if any(
+        isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= sys.float_info.max
+        for v in (width, height)
+    ):
+        raise ManifestSyntax(
+            f"{path}: image dimensions must be positive integers within float64 range"
+        )
 
     videos_raw = _field(raw, "videos", list, str(path))
     metadata = raw.get("metadata", {})
@@ -287,50 +301,41 @@ class VideoBag:
 
 
 def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -> VideoBag:
-    """Assemble one video's bag: aggregate clips, pool pose, fuse."""
+    """Assemble one video's bag: aggregate clips, pool pose, fuse.
+
+    Each stage runs once over the whole video, on (segments, ...) arrays.
+    """
     rec = manifest.record(video_id)
     clips = read_feature_file(rec.feature_path)
     plan = plan_segments(
         clips.shape[0] * manifest.clip_length, manifest.segment_length
     )
-
-    appearance = [
-        aggregate_segment(
-            clips[start // manifest.clip_length : end // manifest.clip_length]
+    clips_per_segment = manifest.segment_length // manifest.clip_length
+    appearance = aggregate_segment(
+        clips[: plan.num_segments * clips_per_segment].reshape(
+            plan.num_segments, clips_per_segment, clips.shape[1]
         )
-        for start, end in plan.segments
-    ]
+    )
 
-    pose_per_segment = None
+    pose = None
     if fusion_mode is FusionMode.GLOBAL_LOCAL_CONCAT:
         if rec.pose_path is None:
             raise MissingPose(f"video {video_id!r} has no pose file in the manifest")
-        frames = parse_pose_document(rec.pose_path.read_text(encoding="utf-8"))
+        candidates = parse_pose_document(rec.pose_path.read_text(encoding="utf-8"))
         covered = plan.num_segments * manifest.segment_length
-        if len(frames) < covered:
+        if len(candidates) < covered:
             raise MalformedPoseFile(
-                f"{rec.pose_path}: {len(frames)} pose frames but segments "
+                f"{rec.pose_path}: {len(candidates)} pose frames but segments "
                 f"cover {covered} frames"
             )
-        pose_per_segment = [
-            pool_pose(
-                pose_feature(frames[i], manifest.image_width, manifest.image_height)
-                for i in range(start, end)
-            )
-            for start, end in plan.segments
-        ]
+        pose = pool_pose(
+            pose_feature(
+                candidates[:covered], manifest.image_width, manifest.image_height
+            ),
+            manifest.segment_length,
+        )
 
-    embeddings = np.stack(
-        [
-            fuse(
-                app,
-                pose_per_segment[i] if pose_per_segment is not None else None,
-                fusion_mode,
-                expected_dim=manifest.feature_dim,
-            )
-            for i, app in enumerate(appearance)
-        ]
-    )
+    embeddings = fuse(appearance, pose, fusion_mode, expected_dim=manifest.feature_dim)
 
     ground_truth = rec.annotations
     if ground_truth is not None and len(ground_truth) != plan.num_segments:

@@ -25,20 +25,19 @@ def fused_dim(appearance_dim: int, mode: FusionMode) -> int:
 
 
 def fuse(appearance, pose, mode: FusionMode, expected_dim: int | None = None) -> np.ndarray:
-    """Combine one segment's appearance embedding with its pose feature.
+    """Combine appearance embeddings with pose features along the last axis.
 
-    `pose` must be present exactly when the mode is GLOBAL_LOCAL_CONCAT.
-    `expected_dim`, when given, pins the appearance dimension to the
-    dataset's feature dimension.
+    `appearance` is (..., dim) and `pose`, which must be present exactly
+    when the mode is GLOBAL_LOCAL_CONCAT, is (..., 54) over the same
+    leading axes. `expected_dim`, when given, pins the appearance dimension
+    to the dataset's feature dimension.
     """
     appearance = np.asarray(appearance, dtype=np.float64)
-    if appearance.ndim != 1:
+    if appearance.ndim == 0:
+        raise DimensionMismatch("appearance embedding must be a vector, got a scalar")
+    if expected_dim is not None and appearance.shape[-1] != expected_dim:
         raise DimensionMismatch(
-            f"appearance embedding must be a vector, got shape {appearance.shape}"
-        )
-    if expected_dim is not None and appearance.shape[0] != expected_dim:
-        raise DimensionMismatch(
-            f"appearance embedding has dimension {appearance.shape[0]}, "
+            f"appearance embedding has dimension {appearance.shape[-1]}, "
             f"dataset dimension is {expected_dim}"
         )
     if mode is FusionMode.GLOBAL_ONLY:
@@ -48,8 +47,9 @@ def fuse(appearance, pose, mode: FusionMode, expected_dim: int | None = None) ->
     if pose is None:
         raise MissingPose("global-local fusion requires a pose feature")
     pose = np.asarray(pose, dtype=np.float64)
-    if pose.shape != (SEGMENT_FEATURE_DIM,):
+    expected = appearance.shape[:-1] + (SEGMENT_FEATURE_DIM,)
+    if pose.shape != expected:
         raise DimensionMismatch(
-            f"pose feature must have shape ({SEGMENT_FEATURE_DIM},), got {pose.shape}"
+            f"pose feature must have shape {expected}, got {pose.shape}"
         )
-    return np.concatenate([appearance, pose])
+    return np.concatenate([appearance, pose], axis=-1)

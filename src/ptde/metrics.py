@@ -37,17 +37,13 @@ def _validate_scores_labels(scores, labels):
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing their group's average rank.
+
+    -0.0 and 0.0 tie, and so do all NaNs, which rank above every number.
+    """
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a group of c equal scores ending at 1-based rank r averages r - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2)[group.reshape(-1)]
 
 
 def auc(scores, labels) -> float:

@@ -4,6 +4,8 @@ A video of T frames is cut into floor(T / L) contiguous, non-overlapping
 segments of exactly L frames; trailing T mod L frames are dropped. The
 external appearance extractor emits one feature vector per 16-frame clip,
 so a segment's embedding is the mean of its clips' L2-normalized features.
+Aggregation works on a whole video at once: a (segments, clips, dim) array
+gives one (segments, dim) array.
 """
 
 from dataclasses import dataclass
@@ -19,12 +21,20 @@ class SegmentPlan:
 
     total_frames: int
     segment_length: int
-    segments: tuple[tuple[int, int], ...]  # [start, end) frame ranges
-    dropped_tail: int
 
     @property
     def num_segments(self) -> int:
-        return len(self.segments)
+        return self.total_frames // self.segment_length
+
+    @property
+    def dropped_tail(self) -> int:
+        return self.total_frames % self.segment_length
+
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        """[start, end) frame ranges, one per segment."""
+        length = self.segment_length
+        return tuple((i * length, (i + 1) * length) for i in range(self.num_segments))
 
 
 def plan_segments(total_frames: int, segment_length: int) -> SegmentPlan:
@@ -33,47 +43,45 @@ def plan_segments(total_frames: int, segment_length: int) -> SegmentPlan:
         raise ValueError(f"segment_length must be >= 1, got {segment_length}")
     if total_frames < 0:
         raise ValueError(f"total_frames must be >= 0, got {total_frames}")
-    count = total_frames // segment_length
-    if count == 0:
+    if total_frames < segment_length:
         raise EmptyVideo(
             f"video of {total_frames} frames is shorter than one segment "
             f"of {segment_length} frames"
         )
-    ranges = tuple(
-        (i * segment_length, (i + 1) * segment_length) for i in range(count)
-    )
-    return SegmentPlan(
-        total_frames=total_frames,
-        segment_length=segment_length,
-        segments=ranges,
-        dropped_tail=total_frames % segment_length,
-    )
+    return SegmentPlan(total_frames=total_frames, segment_length=segment_length)
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale v to unit Euclidean norm; the zero vector is returned unchanged.
+    """Scale each vector along the last axis to unit Euclidean norm; zero
+    vectors are returned unchanged.
 
     Absent people or blank clips produce all-zero features, and those must
-    not abort a pipeline run.
+    not abort a pipeline run. Each norm is the square root of a stacked
+    row-by-column product, which reduces in the same order as
+    `np.linalg.norm` of the vector alone, so results do not depend on how
+    many vectors are normalized together.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("vector contains NaN or infinite entries")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return v.copy()
-    return v / norm
+    rows = v.reshape(-1, v.shape[-1])
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))
+    norms = norms.reshape(v.shape[:-1] + (1,))
+    return np.divide(v, norms, out=v.copy(), where=norms != 0.0)
 
 
 def aggregate_segment(clips) -> np.ndarray:
-    """Mean of the L2-normalized clip features belonging to one segment."""
-    clips = [np.asarray(c, dtype=np.float64) for c in clips]
-    if len(clips) == 0:
-        raise EmptySegment("segment contains no clip features")
-    shape = clips[0].shape
-    for i, c in enumerate(clips[1:], start=1):
-        if c.shape != shape:
-            raise DimensionMismatch(
-                f"clip 0 has shape {shape}, clip {i} has shape {c.shape}"
-            )
-    return np.mean([l2_normalize(c) for c in clips], axis=0)
+    """Mean of the L2-normalized clip features of each segment.
+
+    `clips` is (..., clips_per_segment, dim); the result is (..., dim).
+    Clips are summed in order, as a per-segment loop would.
+    """
+    try:
+        clips = np.asarray(clips, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatch(f"clip features differ in shape: {exc}") from exc
+    if clips.ndim < 2 or clips.shape[-2] == 0:
+        raise EmptySegment(
+            f"segment contains no clip features (clip array shape {clips.shape})"
+        )
+    return l2_normalize(clips).mean(axis=-2)

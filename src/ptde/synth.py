@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import CLIP_FRAMES, write_feature_file
 from .errors import IoFailure
-from .metrics import CATEGORIES, NORMAL_CATEGORIES, THEFT_CATEGORY
+from .metrics import CATEGORIES, NORMAL_CATEGORIES, THEFT_CATEGORY, auc
 from .pose import JOINT_COUNT
 
 _TABLE_TRAIN_COUNTS = {
@@ -129,14 +129,6 @@ def _theft_block(rng, num_segments: int, fraction: float) -> np.ndarray:
     return labels
 
 
-def _pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = np.sum(pos[:, None] > neg[None, :])
-    ties = np.sum(pos[:, None] == neg[None, :])
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
-
-
 def generate_synthetic(spec: SynthSpec, out_dir) -> Path:
     """Emit the dataset tree under out_dir and return the manifest path."""
     out_dir = Path(out_dir)
@@ -212,9 +204,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> Path:
                         }
                     )
 
-        oracle_auc = _pairwise_auc(
-            np.asarray(oracle_scores), np.asarray(oracle_labels)
-        )
+        oracle_auc = auc(oracle_scores, oracle_labels)
         manifest = {
             "name": spec.name,
             "feature_dim": spec.feature_dim,

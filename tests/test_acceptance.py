@@ -92,49 +92,53 @@ def _finite_difference_instance(seed: int):
 
 def _check_gradients(params, x, n_pos, step=1e-5, lam1=8e-5, lam2=8e-5):
     """Sweep every parameter entry with central finite differences of an
-    independent, test-local objective evaluation."""
-    w1, b1, w2, b2, w3, b3 = params
-    total = x.shape[0]
-    buf1 = np.empty((total, HIDDEN1))
-    buf2 = np.empty((total, HIDDEN2))
-    buf3 = np.empty((total, OUTPUT))
+    independent, test-local objective evaluation.
 
-    def loss_only():
-        np.dot(x, w1, out=buf1)
-        np.add(buf1, b1, out=buf1)
-        np.maximum(buf1, 0.0, out=buf1)
-        np.dot(buf1, w2, out=buf2)
-        np.add(buf2, b2, out=buf2)
-        np.maximum(buf2, 0.0, out=buf2)
-        np.dot(buf2, w3, out=buf3)
-        z3 = buf3[:, 0] + b3[0]
-        s = 1.0 / (1.0 + np.exp(-z3))
-        p, n = s[:n_pos], s[n_pos:]
-        hinge = 1.0 - p.max() + n.max()
-        if hinge < 0.0:
-            hinge = 0.0
-        d = p[:-1] - p[1:]
-        return hinge + lam1 * float(d @ d) + lam2 * float(p.sum())
+    A nudge of w[i, j] or b[j] in one layer moves only column j of that
+    layer's pre-activation. So per column, the pre-activations under all of
+    its nudges (both signs) are computed at once, by multiplying the layer
+    input, with a ones column for the bias, by the matrix of nudged weight
+    columns. The stack is then run forward through the unchanged later
+    layers, each perturbed loss from its own forward pass.
+    """
+    w1, b1, w2, b2, w3, b3 = params
+    layers = [(w1, b1), (w2, b2), (w3, b3)]
+
+    def objective(z, layer):
+        """Loss per stacked pre-activation z (..., rows, width) of `layer`."""
+        for w, b in layers[layer + 1 :]:
+            z = np.maximum(z, 0.0) @ w + b
+        s = 1.0 / (1.0 + np.exp(-z[..., 0]))
+        p, n = s[..., :n_pos], s[..., n_pos:]
+        hinge = np.maximum(1.0 - p.max(axis=-1) + n.max(axis=-1), 0.0)
+        d = p[..., :-1] - p[..., 1:]
+        return hinge + lam1 * (d * d).sum(axis=-1) + lam2 * p.sum(axis=-1)
 
     head = ScoringHead(*(a.copy() for a in params))
     _, grads = backprop(head, x[:n_pos], x[n_pos:], lam1, lam2)
+    analytic = grads.params()
 
     bad = 0
     checked = 0
-    for arr, grad in zip(params, grads.params()):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_only()
-            flat[i] = orig - step
-            down = loss_only()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            checked += 1
-            if abs(gflat[i] - fd) > max(1e-4 * abs(fd), 1e-7):
-                bad += 1
+    a = x
+    nudges = np.array([step, -step])[:, None, None]
+    for layer, (w, b) in enumerate(layers):
+        # the bias is one more weight row, fed by a column of ones
+        inputs = np.hstack([a, np.ones((a.shape[0], 1))])
+        weights = np.vstack([w, b])
+        z = a @ w + b
+        fd = np.empty_like(weights)
+        for j in range(weights.shape[1]):
+            # column i of nudged[s]: weights[:, j] with entry i moved by s
+            nudged = weights[:, j, None] + nudges * np.eye(weights.shape[0])
+            stack = np.broadcast_to(z, nudged.shape[:2] + z.shape).copy()
+            stack[..., j] = np.swapaxes(inputs @ nudged, -1, -2)
+            up, down = objective(stack, layer)
+            fd[:, j] = (up - down) / (2.0 * step)
+        expected = np.vstack([analytic[2 * layer], analytic[2 * layer + 1]])
+        bad += int(np.sum(np.abs(expected - fd) > np.maximum(1e-4 * np.abs(fd), 1e-7)))
+        checked += fd.size
+        a = np.maximum(z, 0.0)
     return bad, checked
 
 

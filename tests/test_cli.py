@@ -198,3 +198,59 @@ class TestDeterminism:
             ]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
+
+
+class TestOutOfRangeJson:
+    """Numbers that json parses but float64 cannot hold are contract errors."""
+
+    @pytest.fixture
+    def fresh(self, tmp_path):
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "4", *TINY]) == 0
+        return tmp_path / "manifest.json"
+
+    def _train(self, manifest, tmp_path):
+        return main([
+            "train", "--manifest", str(manifest),
+            "--out-checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1",
+        ])
+
+    def _replace_first_pose_value(self, manifest, text):
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        pose = manifest.parent / raw["videos"][0]["pose_file"]
+        doc = pose.read_text(encoding="utf-8")
+        assert doc.startswith("[[[[")
+        end = doc.index(",", 4)
+        pose.write_text(doc[:4] + text + doc[end:], encoding="utf-8")
+
+    def test_pose_integer_beyond_float64_exits_2(self, fresh, tmp_path, capsys):
+        self._replace_first_pose_value(fresh, "1" + "0" * 309)
+        assert self._train(fresh, tmp_path) == 2
+        assert "frame 0 person 0: non-finite" in capsys.readouterr().err
+
+    def test_pose_integer_past_digit_limit_exits_2(self, fresh, tmp_path, capsys):
+        self._replace_first_pose_value(fresh, "9" * 5000)
+        assert self._train(fresh, tmp_path) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_manifest_integer_past_digit_limit_exits_2(self, fresh, tmp_path, capsys):
+        text = fresh.read_text(encoding="utf-8")
+        big = '"metadata": {"big": ' + "9" * 5000 + ", "
+        fresh.write_text(text.replace('"metadata": {', big, 1), encoding="utf-8")
+        assert self._train(fresh, tmp_path) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_pose_nesting_past_the_stack_exits_2(self, fresh, tmp_path, capsys):
+        self._replace_first_pose_value(fresh, "[" * 100_000 + "]" * 100_000)
+        assert self._train(fresh, tmp_path) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    @pytest.mark.parametrize(
+        "value", [pytest.param(True, id="bool"), pytest.param(10**400, id="huge")]
+    )
+    def test_bad_image_size_exits_2(self, fresh, tmp_path, capsys, key, value):
+        raw = json.loads(fresh.read_text(encoding="utf-8"))
+        raw[key] = value
+        fresh.write_text(json.dumps(raw), encoding="utf-8")
+        assert self._train(fresh, tmp_path) == 2
+        assert "image dimensions" in capsys.readouterr().err
