@@ -23,7 +23,6 @@ from .errors import PtdeError
 from .fusion import FusionMode, fuse, fused_dim
 from .loss import (
     LossBreakdown,
-    batch_objective,
     loss_score_gradients,
     mil_ranking_loss,
     ranking_satisfied,
@@ -40,11 +39,9 @@ from .metrics import (
 )
 from .pose import parse_pose_document, pool_pose, pose_feature
 from .scoring import (
-    HeadGradients,
     ScoringHead,
     backprop,
     init_head,
-    score,
     score_segments,
 )
 from .segmenting import SegmentPlan, aggregate_segment, l2_normalize, plan_segments
@@ -59,7 +56,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "EvalReport",
     "FusionMode",
-    "HeadGradients",
     "LossBreakdown",
     "Manifest",
     "PtdeError",
@@ -77,7 +73,6 @@ __all__ = [
     "apply_threshold",
     "auc",
     "backprop",
-    "batch_objective",
     "fuse",
     "fused_dim",
     "generate_synthetic",
@@ -98,7 +93,6 @@ __all__ = [
     "read_feature_file",
     "roc_curve",
     "save_checkpoint",
-    "score",
     "score_segments",
     "train",
     "write_feature_file",

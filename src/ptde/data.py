@@ -18,6 +18,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     UnknownVideo,
     UnsupportedVersion,
 )
+from .fileio import write_atomic
 from .fusion import FusionMode, fuse
 from .metrics import CATEGORIES, THEFT_CATEGORY
 from .pose import parse_pose_document, pool_pose, pose_feature
@@ -374,21 +376,12 @@ class CheckpointMeta:
 
 def save_checkpoint(head: ScoringHead, config, path) -> None:
     """Persist a head; `config` supplies the seed and fusion-mode tag."""
-    h1, h2, out = head.layer_dims
     header = _CHECKPOINT_HEADER.pack(
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        head.input_dim,
-        h1,
-        h2,
-        out,
-        _FUSION_TAGS[config.fusion_mode],
-        config.seed,
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, head.input_dim, *head.layer_dims,
+        _FUSION_TAGS[config.fusion_mode], config.seed,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for p in head.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    params = (np.ascontiguousarray(p, dtype="<f8").tobytes() for p in head.params())
+    write_atomic(path, chain([header], params))
 
 
 def load_checkpoint(path) -> tuple[ScoringHead, CheckpointMeta]:
@@ -407,9 +400,7 @@ def load_checkpoint(path) -> tuple[ScoringHead, CheckpointMeta]:
         )
     if tag not in _TAG_FUSIONS:
         raise CorruptCheckpoint(f"{path}: unknown fusion tag {tag}")
-    shapes = [
-        (input_dim, h1), (h1,), (h1, h2), (h2,), (h2, out), (out,)
-    ]
+    shapes = [(input_dim, h1), (h1,), (h1, h2), (h2,), (h2, out), (out,)]
     counts = [int(np.prod(s)) for s in shapes]
     expected = _CHECKPOINT_HEADER.size + sum(counts) * 8
     if len(data) != expected:

@@ -10,6 +10,9 @@ The hinge compares bag maxima (the best-scoring instance stands in for the
 bag), the squared-difference term keeps consecutive positive-bag scores
 smooth, and the plain sum keeps them sparse. Both regularizers act on the
 positive bag only.
+
+A batch of pairs is two flat score lists plus the first index of each bag
+(`pos_starts`, `neg_starts`); the terms are then summed over the pairs.
 """
 
 from dataclasses import dataclass
@@ -49,13 +52,57 @@ def _validate_lambdas(lambda1: float, lambda2: float) -> None:
         raise NegativeLambda(f"lambdas must be >= 0, got {lambda1} and {lambda2}")
 
 
-def mil_ranking_loss(pos_scores, neg_scores, lambda1: float, lambda2: float) -> LossBreakdown:
-    """Evaluate the pair objective on two score lists."""
-    pos = _validate_bag(pos_scores, "positive")
-    neg = _validate_bag(neg_scores, "negative")
+def _validate_pairs(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
+    """[pos, pos_starts, neg, neg_starts]; a side without starts is one bag."""
+    out = []
+    sides = ((pos_scores, pos_starts, "positive"), (neg_scores, neg_starts, "negative"))
+    for scores, starts, name in sides:
+        starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts)
+        if starts.size == 0:
+            raise EmptyBatch("batch contains no bag pairs")
+        scores = _validate_bag(scores, name)
+        if starts.ndim != 1 or starts.dtype.kind not in "iu" or starts[0] != 0:
+            raise ValueError(f"{name} starts must be a flat list of integers from 0")
+        if np.any(np.diff(starts, append=scores.size) <= 0):
+            raise EmptyBag(f"{name} starts give a bag with no segment scores")
+        out += [scores, starts]
+    if out[1].size != out[3].size:
+        raise ValueError(f"{out[1].size} positive bags but {out[3].size} negative bags")
     _validate_lambdas(lambda1, lambda2)
-    hinge = max(0.0, 1.0 - float(np.max(pos)) + float(np.max(neg)))
-    smoothness = lambda1 * float(np.sum((pos[:-1] - pos[1:]) ** 2))
+    return out
+
+
+def _smoothness_diffs(pos, ps) -> np.ndarray:
+    """pos[i] - pos[i + 1], zero where row i + 1 starts the next bag."""
+    d = pos[:-1] - pos[1:]
+    d[ps[1:] - 1] = 0.0
+    return d
+
+
+def _first_max(scores, starts, maxima) -> np.ndarray:
+    """Per bag, the lowest index at the bag maximum; scores.size if that is NaN."""
+    rows = np.arange(scores.size)
+    at_max = scores == np.repeat(maxima, np.diff(starts, append=scores.size))
+    return np.minimum.reduceat(np.where(at_max, rows, scores.size), starts)
+
+
+def mil_ranking_loss(
+    pos_scores, neg_scores, lambda1: float, lambda2: float, pos_starts=None, neg_starts=None
+) -> LossBreakdown:
+    """Evaluate the pair objective, summed over bag pairs.
+
+    Without starts each score list is one bag. With starts, pair k's bags
+    begin at pos_starts[k] and neg_starts[k] of the flat score lists and end
+    where the next bag begins. A NaN score makes every term it reaches NaN,
+    the hinge included.
+    """
+    pos, ps, neg, ns = _validate_pairs(
+        pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts
+    )
+    margin = 1.0 - np.maximum.reduceat(pos, ps) + np.maximum.reduceat(neg, ns)
+    hinge = float(np.sum(np.maximum(margin, 0.0)))
+    d = _smoothness_diffs(pos, ps)
+    smoothness = lambda1 * float(np.sum(d * d))
     sparsity = lambda2 * float(np.sum(pos))
     return LossBreakdown(
         hinge=hinge,
@@ -67,26 +114,30 @@ def mil_ranking_loss(pos_scores, neg_scores, lambda1: float, lambda2: float) -> 
     )
 
 
-def loss_score_gradients(pos_scores, neg_scores, lambda1: float, lambda2: float):
-    """Exact gradient of the pair objective with respect to every score.
+def loss_score_gradients(
+    pos_scores, neg_scores, lambda1: float, lambda2: float, pos_starts=None, neg_starts=None
+):
+    """Exact gradient of the (summed) pair objective with respect to every
+    score; bags are given as in mil_ranking_loss.
 
     Subgradient conventions: the hinge contributes nothing when the margin
     is exactly met, and bag maxima resolve argmax ties to the lowest
     segment index.
     """
-    pos = _validate_bag(pos_scores, "positive")
-    neg = _validate_bag(neg_scores, "negative")
-    _validate_lambdas(lambda1, lambda2)
+    pos, ps, neg, ns = _validate_pairs(
+        pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts
+    )
     dpos = np.full(pos.shape, lambda2, dtype=np.float64)
-    if pos.size > 1:
-        d = pos[:-1] - pos[1:]
-        dpos[:-1] += 2.0 * lambda1 * d
-        dpos[1:] -= 2.0 * lambda1 * d
+    d = _smoothness_diffs(pos, ps)
+    dpos[:-1] += 2.0 * lambda1 * d
+    dpos[1:] -= 2.0 * lambda1 * d
     dneg = np.zeros(neg.shape, dtype=np.float64)
-    margin = 1.0 - float(np.max(pos)) + float(np.max(neg))
-    if margin > 0.0:
-        dpos[int(np.argmax(pos))] -= 1.0
-        dneg[int(np.argmax(neg))] += 1.0
+    pmax = np.maximum.reduceat(pos, ps)
+    nmax = np.maximum.reduceat(neg, ns)
+    # a NaN margin is not > 0, so a NaN bag never reaches its argmax
+    active = 1.0 - pmax + nmax > 0.0
+    dpos[_first_max(pos, ps, pmax)[active]] -= 1.0
+    dneg[_first_max(neg, ns, nmax)[active]] += 1.0
     return dpos, dneg
 
 
@@ -95,15 +146,3 @@ def ranking_satisfied(pos_scores, neg_scores) -> bool:
     pos = _validate_bag(pos_scores, "positive")
     neg = _validate_bag(neg_scores, "negative")
     return bool(np.max(pos) > np.max(neg))
-
-
-def batch_objective(pairs, lambda1: float, lambda2: float) -> float:
-    """Mean pair objective over (pos_scores, neg_scores) pairs.
-
-    The mean (not the sum) keeps the lambdas batch-size independent.
-    """
-    pairs = list(pairs)
-    if len(pairs) == 0:
-        raise EmptyBatch("batch contains no bag pairs")
-    totals = [mil_ranking_loss(p, n, lambda1, lambda2).total for p, n in pairs]
-    return float(np.sum(totals) / len(totals))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, LengthMismatch
+from .fileio import write_atomic
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -180,10 +181,8 @@ def per_category_eval(segments, threshold: float = DEFAULT_THRESHOLD) -> EvalRep
 def write_roc_csv(curve: RocCurve, path) -> None:
     """CSV export: header `threshold,fpr,tpr`, one row per curve point."""
     lines = ["threshold,fpr,tpr"]
-    for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr):
-        lines.append(f"{t},{f},{r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += (f"{t},{f},{r}" for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr))
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
@@ -211,5 +210,4 @@ def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
         f'transform="rotate(-90 12 {sy(0.5):.2f})">true positive rate</text>\n'
         f"</svg>\n"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_atomic(path, [svg.encode("utf-8")])

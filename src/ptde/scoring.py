@@ -5,14 +5,16 @@ The head maps a segment embedding to a theft confidence in (0, 1):
     sigmoid(w3 . relu(w2 . relu(w1 . x + b1) + b2) + b3)
 
 Hidden widths are 512 and 32. Gradients of the pair ranking objective are
-computed analytically; no autodiff framework is involved.
+computed analytically; no autodiff framework is involved. A training epoch
+is one `backprop` call: one forward and one backward pass over its stacked
+bag pairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBag
+from .errors import DimensionMismatch
 from .loss import loss_score_gradients, mil_ranking_loss
 
 HIDDEN1 = 512
@@ -22,7 +24,8 @@ OUTPUT = 1
 
 @dataclass
 class ScoringHead:
-    """Parameters of the scorer. Weight matrices are (fan_in, fan_out)."""
+    """Parameters of the scorer, or gradients and Adagrad accumulators of
+    the same shapes. Weight matrices are (fan_in, fan_out)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -38,21 +41,6 @@ class ScoringHead:
     @property
     def layer_dims(self) -> tuple[int, int, int]:
         return (self.w1.shape[1], self.w2.shape[1], self.w3.shape[1])
-
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
-
-
-@dataclass
-class HeadGradients:
-    """Shape-congruent companion of ScoringHead (gradients, accumulators)."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
@@ -93,13 +81,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(head: ScoringHead, x: np.ndarray):
-    z1 = x @ head.w1 + head.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ head.w2 + head.b2
-    h2 = np.maximum(z2, 0.0)
+    """(h1, h2, scores) for the rows of x; ReLU is applied in place."""
+    h1 = x @ head.w1
+    h1 += head.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ head.w2
+    h2 += head.b2
+    np.maximum(h2, 0.0, out=h2)
     z3 = h2 @ head.w3 + head.b3
-    scores = _sigmoid(z3[:, 0])
-    return z1, h1, z2, h2, scores
+    return h1, h2, _sigmoid(z3[:, 0])
 
 
 def _as_bag(embeddings, input_dim: int, name: str) -> np.ndarray:
@@ -118,60 +108,46 @@ def _as_bag(embeddings, input_dim: int, name: str) -> np.ndarray:
     return x
 
 
-def score(head: ScoringHead, embedding) -> float:
-    """Theft confidence for a single segment embedding."""
-    x = np.asarray(embedding, dtype=np.float64)
-    if x.shape != (head.input_dim,):
-        raise DimensionMismatch(
-            f"embedding has shape {x.shape}, head expects ({head.input_dim},)"
-        )
-    return float(_forward(head, x[None, :])[4][0])
-
-
 def score_segments(head: ScoringHead, embeddings) -> np.ndarray:
     """Scores for an ordered list of segment embeddings, order preserved."""
-    if isinstance(embeddings, (list, tuple)) and len(embeddings) == 0:
-        return np.zeros(0)
-    x = _as_bag(embeddings, head.input_dim, "segment")
-    if x.shape[0] == 0:
-        return np.zeros(0)
-    return _forward(head, x)[4]
+    return _forward(head, _as_bag(embeddings, head.input_dim, "segment"))[2]
 
 
-def _backward(head: ScoringHead, x, z1, h1, z2, h2, scores, dscores) -> HeadGradients:
-    # relu subgradient at exactly 0 is taken as 0
+def _backward(head: ScoringHead, x, h1, h2, scores, dscores) -> ScoringHead:
+    """Parameter gradients from score gradients. relu'(0) = 0: masks come
+    from h > 0, which is z > 0, NaN included. dz1 overwrites h1 once h1 has
+    given dw2 and its mask, so one (rows, 512) float array is live at a time."""
     dz3 = (dscores * scores * (1.0 - scores))[:, None]
     dw3 = h2.T @ dz3
     db3 = dz3.sum(axis=0)
-    dh2 = dz3 @ head.w3.T
-    dz2 = dh2 * (z2 > 0.0)
+    dz2 = dz3 @ head.w3.T
+    dz2 *= h2 > 0.0
     dw2 = h1.T @ dz2
     db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ head.w2.T
-    dz1 = dh1 * (z1 > 0.0)
+    mask1 = h1 > 0.0
+    dz1 = np.matmul(dz2, head.w2.T, out=h1)
+    dz1 *= mask1
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
-    return HeadGradients(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+    return ScoringHead(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
-def backprop(head: ScoringHead, pos_bag, neg_bag, lambda1: float, lambda2: float):
-    """Pair objective on two bags and its exact parameter gradients.
+def backprop(
+    head: ScoringHead, pos_rows, neg_rows, lambda1: float, lambda2: float,
+    pos_starts=None, neg_starts=None,
+):
+    """Pair objective summed over bag pairs, and its exact parameter
+    gradients as a ScoringHead, from one forward and one backward pass.
 
-    Returns (LossBreakdown, HeadGradients). Kink conventions follow the
-    loss module: zero hinge gradient exactly at the margin, argmax ties to
-    the lowest segment index; relu' (0) = 0.
+    `pos_rows`/`neg_rows` stack the pairs' positive/negative bag rows, and
+    `pos_starts[k]`/`neg_starts[k]` give the first row of pair k's bags;
+    without starts the call is one pair. Kinks as in the loss module.
     """
-    pos = _as_bag(pos_bag, head.input_dim, "positive")
-    neg = _as_bag(neg_bag, head.input_dim, "negative")
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        raise EmptyBag("both bags need at least one segment")
-    z1p, h1p, z2p, h2p, ps = _forward(head, pos)
-    z1n, h1n, z2n, h2n, ns = _forward(head, neg)
-    breakdown = mil_ranking_loss(ps, ns, lambda1, lambda2)
-    dps, dns = loss_score_gradients(ps, ns, lambda1, lambda2)
-    gp = _backward(head, pos, z1p, h1p, z2p, h2p, ps, dps)
-    gn = _backward(head, neg, z1n, h1n, z2n, h2n, ns, dns)
-    grads = HeadGradients(
-        *(a + b for a, b in zip(gp.params(), gn.params()))
-    )
-    return breakdown, grads
+    pos = _as_bag(pos_rows, head.input_dim, "positive")
+    neg = _as_bag(neg_rows, head.input_dim, "negative")
+    x = np.concatenate((pos, neg))
+    h1, h2, scores = _forward(head, x)
+    ps, ns = scores[: len(pos)], scores[len(pos) :]
+    breakdown = mil_ranking_loss(ps, ns, lambda1, lambda2, pos_starts, neg_starts)
+    dps, dns = loss_score_gradients(ps, ns, lambda1, lambda2, pos_starts, neg_starts)
+    return breakdown, _backward(head, x, h1, h2, scores, np.concatenate((dps, dns)))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import CLIP_FRAMES, write_feature_file
 from .errors import IoFailure
+from .fileio import write_atomic
 from .metrics import CATEGORIES, NORMAL_CATEGORIES, THEFT_CATEGORY, auc
 from .pose import JOINT_COUNT
 
@@ -223,9 +224,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> Path:
             "videos": videos,
         }
         manifest_path = out_dir / "manifest.json"
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_atomic(manifest_path, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
     except OSError as exc:
         raise IoFailure(f"cannot write dataset under {out_dir}: {exc}") from exc
     return manifest_path

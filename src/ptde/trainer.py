@@ -1,8 +1,9 @@
 """Adagrad training loop over sampled bag pairs.
 
 One epoch = sample `pairs_per_epoch` (positive, negative) bag pairs with
-replacement, average the pair-objective gradients, and take one Adagrad
-step. Runs are bit-for-bit reproducible from (dataset, config).
+replacement, stack their rows, run one batched forward/backward pass over
+them, average the summed pair-objective gradients, and take one in-place
+Adagrad step. Runs are bit-for-bit reproducible from (dataset, config).
 """
 
 from dataclasses import dataclass, replace
@@ -10,8 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientData, NonFiniteLoss, ShapeMismatch
+from .fileio import write_atomic
 from .fusion import FusionMode
-from .scoring import HeadGradients, ScoringHead, backprop, init_head
+from .scoring import ScoringHead, backprop, init_head
 
 HISTORY_COLUMNS = ("total", "hinge", "smoothness", "sparsity")
 
@@ -48,45 +50,35 @@ class TrainConfig:
 class AdagradState:
     """Per-parameter sums of squared gradients plus a step counter."""
 
-    sum_sq: HeadGradients
+    sum_sq: ScoringHead
     step: int = 0
 
 
 def init_adagrad(head: ScoringHead) -> AdagradState:
-    return AdagradState(
-        sum_sq=HeadGradients(*(np.zeros_like(p) for p in head.params()))
-    )
+    return AdagradState(sum_sq=ScoringHead(*(np.zeros_like(p) for p in head.params())))
 
 
 def adagrad_step(
-    head: ScoringHead,
-    grads: HeadGradients,
-    state: AdagradState,
-    learning_rate: float,
-    epsilon: float,
-):
-    """One Adagrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
+    head: ScoringHead, grads: ScoringHead, state: AdagradState, learning_rate: float, epsilon: float
+) -> None:
+    """One Adagrad update in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
-    Functional: returns a new (head, state) pair. Epsilon sits outside the
-    square root.
+    Epsilon sits outside the square root. The operations keep the order of
+    that formula, so a step is bitwise equal to it.
     """
     for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params()):
         if p.shape != g.shape or p.shape != s.shape:
             raise ShapeMismatch(
-                f"parameter/gradient/accumulator shapes differ: "
-                f"{p.shape} vs {g.shape} vs {s.shape}"
+                f"parameter/gradient/accumulator shapes differ: {p.shape} vs {g.shape} vs {s.shape}"
             )
-    new_params = []
-    new_sums = []
     for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params()):
-        acc = s + g * g
-        assert np.all(acc >= s), "adagrad accumulator decreased"
-        new_params.append(p - learning_rate * g / (np.sqrt(acc) + epsilon))
-        new_sums.append(acc)
-    return (
-        ScoringHead(*new_params),
-        AdagradState(sum_sq=HeadGradients(*new_sums), step=state.step + 1),
-    )
+        s += g * g
+        u = g * learning_rate
+        t = np.sqrt(s)
+        t += epsilon
+        u /= t
+        p -= u
+    state.step += 1
 
 
 @dataclass
@@ -118,51 +110,41 @@ def train(dataset, config: TrainConfig) -> TrainRun:
         raise DimensionMismatch(f"bags have mixed embedding dimensions {sorted(dims)}")
     (input_dim,) = dims
 
+    pos_lengths = np.array([len(b.embeddings) for b in pos])
+    neg_lengths = np.array([len(b.embeddings) for b in neg])
     head = init_head(input_dim, config.seed)
     state = init_adagrad(head)
     # sampling stream keyed off the seed, distinct from the init stream
     sampler = np.random.default_rng([config.seed, 1])
     history = np.empty((config.epochs, len(HISTORY_COLUMNS)))
 
+    pairs = config.pairs_per_epoch
     for epoch in range(config.epochs):
-        pos_idx = sampler.integers(0, len(pos), size=config.pairs_per_epoch)
-        neg_idx = sampler.integers(0, len(neg), size=config.pairs_per_epoch)
-        grad_sum = None
-        term_sum = np.zeros(len(HISTORY_COLUMNS))
-        for pi, ni in zip(pos_idx, neg_idx):
-            breakdown, grads = backprop(
-                head,
-                pos[pi].embeddings,
-                neg[ni].embeddings,
-                config.lambda1,
-                config.lambda2,
-            )
-            term_sum += (
-                breakdown.total,
-                breakdown.hinge,
-                breakdown.smoothness,
-                breakdown.sparsity,
-            )
-            if grad_sum is None:
-                grad_sum = list(grads.params())
-            else:
-                for acc, g in zip(grad_sum, grads.params()):
-                    acc += g
-        history[epoch] = term_sum / config.pairs_per_epoch
+        pos_idx = sampler.integers(0, len(pos), size=pairs)
+        neg_idx = sampler.integers(0, len(neg), size=pairs)
+        pos_lens, neg_lens = pos_lengths[pos_idx], neg_lengths[neg_idx]
+        # one stacked row array per side; bag k starts after bags 0..k-1
+        bd, grads = backprop(
+            head,
+            np.concatenate([pos[i].embeddings for i in pos_idx]),
+            np.concatenate([neg[i].embeddings for i in neg_idx]),
+            config.lambda1,
+            config.lambda2,
+            pos_starts=np.cumsum(pos_lens) - pos_lens,
+            neg_starts=np.cumsum(neg_lens) - neg_lens,
+        )
+        history[epoch] = np.array((bd.total, bd.hinge, bd.smoothness, bd.sparsity)) / pairs
         if not np.isfinite(history[epoch, 0]):
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
-        mean_grads = HeadGradients(*(g / config.pairs_per_epoch for g in grad_sum))
-        head, state = adagrad_step(
-            head, mean_grads, state, config.learning_rate, config.adagrad_epsilon
-        )
+        for g in grads.params():
+            g /= pairs
+        adagrad_step(head, grads, state, config.learning_rate, config.adagrad_epsilon)
 
     return TrainRun(head=head, history=history, config=replace(config))
 
 
 def write_run_log(run: TrainRun, path) -> None:
     """One line per epoch: epoch, total, hinge, smoothness, sparsity (tabs)."""
-    lines = []
-    for epoch, (total, hinge, smooth, spars) in enumerate(run.history, start=1):
-        lines.append(f"{epoch}\t{total}\t{hinge}\t{smooth}\t{spars}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = enumerate(run.history, start=1)
+    lines = [f"{epoch}\t{t}\t{h}\t{sm}\t{sp}" for epoch, (t, h, sm, sp) in rows]
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])

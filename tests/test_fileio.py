@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from ptde.data import load_checkpoint, save_checkpoint
+from ptde.fileio import write_atomic
+from ptde.fusion import FusionMode
+from ptde.scoring import init_head
+from ptde.trainer import TrainConfig
+
+
+def failing_chunks():
+    yield b"partial "
+    raise RuntimeError("disk went away")
+
+
+class TestWriteAtomic:
+    def test_writes_the_chunks(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_atomic(path, [b"ab", b"", b"cd"])
+        assert path.read_bytes() == b"abcd"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_failure_mid_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous contents")
+        with pytest.raises(RuntimeError, match="disk went away"):
+            write_atomic(path, failing_chunks())
+        assert path.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_failure_without_a_previous_file_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_atomic(tmp_path / "out.bin", failing_chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_checkpoint_write_keeps_the_previous_checkpoint(self, tmp_path):
+        config = TrainConfig(seed=4, fusion_mode=FusionMode.GLOBAL_ONLY)
+        path = tmp_path / "head.ckpt"
+        save_checkpoint(init_head(6, 1), config, path)
+        before = path.read_bytes()
+        broken = init_head(6, 2)
+        broken.b3 = np.array(["not a number"])  # fails after the other arrays
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, config, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["head.ckpt"]
+        head, _ = load_checkpoint(path)
+        assert np.array_equal(head.w1, init_head(6, 1).w1)
+
+    def test_error_names_the_requested_file(self, tmp_path):
+        path = tmp_path / "missing" / "out.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            write_atomic(path, [b"x"])
+        assert info.value.filename == str(path)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ptde.errors import EmptyBag, EmptyBatch, NegativeLambda
 from ptde.loss import (
-    batch_objective,
     loss_score_gradients,
     mil_ranking_loss,
     ranking_satisfied,
@@ -111,6 +110,17 @@ class TestRankingSatisfied:
             ranking_satisfied([], [0.1])
 
 
+def batch_objective(pairs, lambda1, lambda2):
+    """Mean pair objective: the summed terms of one batched
+    mil_ranking_loss call over the flattened pairs, divided by P."""
+    pos = [s for p, _ in pairs for s in p]
+    neg = [s for _, n in pairs for s in n]
+    pos_starts = np.cumsum([0] + [len(p) for p, _ in pairs[:-1]])
+    neg_starts = np.cumsum([0] + [len(n) for _, n in pairs[:-1]])
+    bd = mil_ranking_loss(pos, neg, lambda1, lambda2, pos_starts, neg_starts)
+    return bd.total / len(pairs)
+
+
 class TestBatchObjective:
     def test_single_pair(self):
         pair = ([0.2, 0.8], [0.3, 0.1])
@@ -136,7 +146,57 @@ class TestBatchObjective:
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            batch_objective([], 0, 0)
+            mil_ranking_loss([], [], 0, 0, pos_starts=[], neg_starts=[])
+        with pytest.raises(EmptyBatch):
+            loss_score_gradients([], [], 0, 0, pos_starts=[], neg_starts=[])
+
+
+class TestBagStarts:
+    def test_smoothness_stops_at_bag_boundaries(self):
+        # 0.9 -> 0.1 crosses from pair 0's positive bag into pair 1's
+        bd = mil_ranking_loss([0.2, 0.9, 0.1, 0.3], [0.5, 0.4], 1.0, 0.0, [0, 2], [0, 1])
+        assert bd.smoothness == pytest.approx(0.7**2 + 0.2**2, abs=1e-15)
+        dpos, _ = loss_score_gradients(
+            [0.2, 0.9, 0.1, 0.3], [0.5, 0.4], 1.0, 0.0, [0, 2], [0, 1]
+        )
+        alone = [loss_score_gradients(p, n, 1.0, 0.0)[0]
+                 for p, n in (([0.2, 0.9], [0.5]), ([0.1, 0.3], [0.4]))]
+        np.testing.assert_array_equal(dpos, np.concatenate(alone))
+
+    def test_argmax_ties_stay_in_their_bag(self):
+        # both positive bags tie at their maximum: each hits its lowest index
+        dpos, dneg = loss_score_gradients(
+            [0.7, 0.7, 0.4, 0.4], [0.2, 0.3, 0.3], 0.0, 0.0, [0, 2], [0, 1]
+        )
+        np.testing.assert_array_equal(dpos, [-1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(dneg, [1.0, 1.0, 0.0])
+
+    def test_margin_met_exactly_gives_no_hinge_gradient(self):
+        dpos, dneg = loss_score_gradients([1.0, 0.6], [0.0, 0.5], 0.0, 0.0, [0, 1], [0, 1])
+        np.testing.assert_array_equal(dpos, [0.0, -1.0])
+        np.testing.assert_array_equal(dneg, [0.0, 1.0])
+
+    def test_nan_bag_gives_nan_hinge_not_an_argmax(self):
+        bd = mil_ranking_loss([0.2, 0.8], [np.nan, 0.1], 0.0, 0.0, [0, 1], [0, 1])
+        assert np.isnan(bd.hinge) and np.isnan(bd.total)
+        dpos, dneg = loss_score_gradients([0.2, 0.8], [np.nan, 0.1], 0.0, 0.0, [0, 1], [0, 1])
+        np.testing.assert_array_equal(dpos, [0.0, -1.0])
+        np.testing.assert_array_equal(dneg, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "pos_starts, neg_starts, error",
+        [
+            ([0, 1], [0], ValueError),  # pair counts differ
+            ([1], [0], ValueError),  # first bag does not start at 0
+            ([0, 0], [0, 1], EmptyBag),  # empty bag
+            ([0, 5], [0, 1], EmptyBag),  # bag past the last score
+            ([0.0, 1.0], [0, 1], ValueError),  # not integers
+            ([0, 1], None, ValueError),  # one side only, pair counts differ
+        ],
+    )
+    def test_invalid_starts(self, pos_starts, neg_starts, error):
+        with pytest.raises(error):
+            mil_ranking_loss([0.1, 0.2], [0.3, 0.4], 0, 0, pos_starts, neg_starts)
 
 
 class TestScoreGradients:

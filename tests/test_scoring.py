@@ -9,11 +9,9 @@ from ptde.scoring import (
     HIDDEN1,
     HIDDEN2,
     OUTPUT,
-    HeadGradients,
     ScoringHead,
     backprop,
     init_head,
-    score,
     score_segments,
 )
 
@@ -78,6 +76,13 @@ class TestInitHead:
             init_head(0, 1)
 
 
+def score_one(head, x):
+    """One segment's score, as score_segments of a one-row bag."""
+    out = score_segments(head, np.asarray(x)[None, :])
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 class TestScore:
     def test_all_zero_head_scores_half(self):
         head = ScoringHead(
@@ -85,13 +90,13 @@ class TestScore:
             w2=np.zeros((6, 3)), b2=np.zeros(3),
             w3=np.zeros((3, 1)), b3=np.zeros(1),
         )
-        assert score(head, np.array([5.0, -2.0, 0.0, 9.0])) == 0.5
+        assert score_one(head, np.array([5.0, -2.0, 0.0, 9.0])) == 0.5
 
     def test_open_interval(self):
         rng = np.random.default_rng(2)
         head = random_head(rng, 5)
         for _ in range(50):
-            s = score(head, rng.standard_normal(5))
+            s = score_one(head, rng.standard_normal(5))
             assert 0.0 < s < 1.0
 
     def test_against_scalar_oracle(self):
@@ -99,12 +104,12 @@ class TestScore:
         head = random_head(rng, 8)
         for _ in range(10):
             x = rng.standard_normal(8)
-            assert score(head, x) == pytest.approx(oracle_score(head, x), abs=1e-12)
+            assert score_one(head, x) == pytest.approx(oracle_score(head, x), abs=1e-12)
 
     def test_dimension_mismatch(self):
         head = init_head(8, 0)
         with pytest.raises(DimensionMismatch):
-            score(head, np.zeros(9))
+            score_segments(head, np.zeros((1, 9)))
 
 
 class TestScoreSegments:
@@ -125,7 +130,7 @@ class TestScoreSegments:
         bag = rng.standard_normal((5, 8))
         out = score_segments(head, bag)
         for i in range(5):
-            assert out[i] == pytest.approx(score(head, bag[i]), abs=1e-15)
+            assert out[i] == pytest.approx(score_one(head, bag[i]), abs=1e-15)
 
 
 def loss_at(head, pos, neg, lam1, lam2):
@@ -165,7 +170,7 @@ class TestBackprop:
         head = random_head(rng, 8)
         _, grads = backprop(head, rng.standard_normal((2, 8)),
                             rng.standard_normal((2, 8)), 8e-5, 8e-5)
-        assert isinstance(grads, HeadGradients)
+        assert isinstance(grads, ScoringHead)
         for p, g in zip(head.params(), grads.params()):
             assert p.shape == g.shape
 

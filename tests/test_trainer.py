@@ -10,7 +10,7 @@ from ptde.errors import (
 )
 from ptde.fusion import FusionMode
 from ptde.loss import ranking_satisfied
-from ptde.scoring import HeadGradients, ScoringHead, score_segments
+from ptde.scoring import ScoringHead, score_segments
 from ptde.trainer import (
     TrainConfig,
     adagrad_step,
@@ -29,7 +29,7 @@ def micro_head():
 
 
 def grads_like(head, value):
-    return HeadGradients(*(np.full_like(p, value) for p in head.params()))
+    return ScoringHead(*(np.full_like(p, value) for p in head.params()))
 
 
 def make_bags(rng, n_pos=6, n_neg=6, dim=8, separation=4.0, segments=4):
@@ -47,50 +47,77 @@ def make_bags(rng, n_pos=6, n_neg=6, dim=8, separation=4.0, segments=4):
     return bags
 
 
+def copy_head(head):
+    return ScoringHead(*(p.copy() for p in head.params()))
+
+
 class TestAdagradStep:
     def test_zero_gradient_is_identity(self):
         head = micro_head()
+        old_head = copy_head(head)
         state = init_adagrad(head)
-        new_head, new_state = adagrad_step(head, grads_like(head, 0.0), state, 0.01, 1e-8)
-        for old, new in zip(head.params(), new_head.params()):
+        old_sums = copy_head(state.sum_sq)
+        adagrad_step(head, grads_like(head, 0.0), state, 0.01, 1e-8)
+        for old, new in zip(old_head.params(), head.params()):
             assert np.array_equal(old, new)
-        for old, new in zip(state.sum_sq.params(), new_state.sum_sq.params()):
+        for old, new in zip(old_sums.params(), state.sum_sq.params()):
             assert np.array_equal(old, new)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_first_step_closed_form(self):
         head = micro_head()
+        old_head = copy_head(head)
         g = 0.5
         lr, eps = 0.01, 1e-8
-        new_head, _ = adagrad_step(head, grads_like(head, g), init_adagrad(head), lr, eps)
+        adagrad_step(head, grads_like(head, g), init_adagrad(head), lr, eps)
         expected_delta = -lr * g / (g + eps)  # sqrt(g^2) = g on the first step
-        for old, new in zip(head.params(), new_head.params()):
+        for old, new in zip(old_head.params(), head.params()):
             np.testing.assert_allclose(new - old, expected_delta, rtol=1e-12)
 
     def test_two_equal_gradients(self):
         head = micro_head()
         g, lr, eps = 0.7, 0.01, 1e-8
         grads = grads_like(head, g)
-        h1, s1 = adagrad_step(head, grads, init_adagrad(head), lr, eps)
-        h2, s2 = adagrad_step(h1, grads, s1, lr, eps)
+        state = init_adagrad(head)
+        adagrad_step(head, grads, state, lr, eps)
+        h1 = copy_head(head)
+        adagrad_step(head, grads, state, lr, eps)
         expected_delta = -lr * g / (np.sqrt(2.0 * g * g) + eps)
-        for a, b in zip(h1.params(), h2.params()):
+        for a, b in zip(h1.params(), head.params()):
             np.testing.assert_allclose(b - a, expected_delta, rtol=1e-12)
-        assert s2.step == 2
+        assert state.step == 2
 
     def test_accumulators_never_decrease(self):
         rng = np.random.default_rng(0)
         head = micro_head()
         state = init_adagrad(head)
-        prev = [p.copy() for p in state.sum_sq.params()]
+        prev = copy_head(state.sum_sq)
         for _ in range(10):
-            grads = HeadGradients(
+            grads = ScoringHead(
                 *(rng.standard_normal(p.shape) for p in head.params())
             )
-            head, state = adagrad_step(head, grads, state, 0.01, 1e-8)
-            for before, after in zip(prev, state.sum_sq.params()):
+            adagrad_step(head, grads, state, 0.01, 1e-8)
+            for before, after in zip(prev.params(), state.sum_sq.params()):
                 assert np.all(after >= before)
-            prev = [p.copy() for p in state.sum_sq.params()]
+            prev = copy_head(state.sum_sq)
+
+    def test_in_place_step_matches_the_formula_bitwise(self):
+        rng = np.random.default_rng(1)
+        head = micro_head()
+        state = init_adagrad(head)
+        lr, eps = 0.01, 1e-8
+        for _ in range(5):
+            grads = ScoringHead(*(rng.standard_normal(p.shape) for p in head.params()))
+            expected = [
+                (p - lr * g / (np.sqrt(s + g * g) + eps), s + g * g)
+                for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params())
+            ]
+            adagrad_step(head, grads, state, lr, eps)
+            for (p, s), new_p, new_s in zip(
+                expected, head.params(), state.sum_sq.params()
+            ):
+                assert np.array_equal(p, new_p)
+                assert np.array_equal(s, new_s)
 
     def test_shape_mismatch(self):
         head = micro_head()
