@@ -32,6 +32,7 @@ from .metrics import (
     EvalReport,
     RocCurve,
     ScoredSegment,
+    ScoredSplit,
     apply_threshold,
     auc,
     per_category_eval,
@@ -61,6 +62,7 @@ __all__ = [
     "PtdeError",
     "RocCurve",
     "ScoredSegment",
+    "ScoredSplit",
     "ScoringHead",
     "SegmentPlan",
     "SynthSpec",

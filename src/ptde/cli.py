@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .data import (
     load_checkpoint,
     load_manifest,
@@ -20,8 +22,9 @@ from .data import (
 from .errors import MissingGroundTruth, PtdeError
 from .fusion import FusionMode
 from .metrics import (
+    CATEGORIES,
     DEFAULT_THRESHOLD,
-    ScoredSegment,
+    ScoredSplit,
     per_category_eval,
     roc_curve,
     write_roc_csv,
@@ -54,31 +57,35 @@ def _resolve_seed(value):
         raise _UsageError(f"PTDE_SEED must be an integer, got {env!r}") from None
 
 
-def scored_test_segments(manifest, head, fusion_mode):
-    """Score every test-split segment and attach ground truth + category.
+def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
+    """Score every test-split segment into one ScoredSplit, in manifest order.
 
-    Theft videos must carry segment-level annotations; normal videos are
-    all-negative by definition.
+    Each video is scored by its own `score_segments` call into its slice,
+    sized from the manifest's segment count. Theft videos must carry
+    segment-level annotations; normal videos are all-negative by definition.
     """
-    segments = []
-    for rec in manifest.split_records("test"):
+    records = manifest.split_records("test")
+    counts = [
+        rec.clip_count * manifest.clip_length // manifest.segment_length
+        for rec in records
+    ]
+    offsets = np.cumsum([0] + counts, dtype=np.int64)
+    scores = np.empty(offsets[-1], dtype=np.float64)
+    labels = np.zeros(offsets[-1], dtype=np.int64)
+    for rec, start, stop in zip(records, offsets[:-1], offsets[1:]):
         bag = load_video_bag(manifest, rec.video_id, fusion_mode)
-        scores = score_segments(head, bag.embeddings)
+        scores[start:stop] = score_segments(head, bag.embeddings)
         if bag.is_positive:
             if bag.ground_truth is None:
                 raise MissingGroundTruth(
                     f"test video {rec.video_id!r} has no segment annotations"
                 )
-            labels = bag.ground_truth
-        else:
-            labels = (0,) * len(scores)
-        for s, label in zip(scores, labels):
-            segments.append(
-                ScoredSegment(
-                    score=float(s), is_theft=bool(label), category=bag.category
-                )
-            )
-    return segments
+            labels[start:stop] = bag.ground_truth
+    categories = np.repeat(
+        np.array([CATEGORIES.index(rec.category) for rec in records], dtype=np.int64),
+        counts,
+    )
+    return ScoredSplit(scores, labels, categories, offsets)
 
 
 def _cmd_synth(args) -> int:
@@ -156,9 +163,7 @@ def _cmd_roc(args) -> int:
     head, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     segments = scored_test_segments(manifest, head, meta.fusion_mode)
-    curve = roc_curve(
-        [s.score for s in segments], [1 if s.is_theft else 0 for s in segments]
-    )
+    curve = roc_curve(segments.scores, segments.labels)
     write_roc_csv(curve, args.out_csv)
     if args.out_svg:
         write_roc_svg(curve, args.out_svg)

@@ -3,7 +3,9 @@
 AUC is the probability that a uniformly random positive segment outscores a
 uniformly random negative one, ties counting one half. That definition and
 the trapezoidal area under the threshold-sweep ROC curve agree exactly, so
-either view can be checked against the other.
+either view can be checked against the other. Evaluation works on a
+ScoredSplit: flat arrays of scores, theft labels and category codes with
+per-video offsets.
 """
 
 from dataclasses import dataclass
@@ -114,6 +116,36 @@ class ScoredSegment:
     category: str
 
 
+@dataclass(frozen=True, eq=False)
+class ScoredSplit:
+    """A split's evaluated segments as flat arrays, videos back to back.
+
+    Video i owns rows offsets[i]:offsets[i + 1]. `labels` is 1 for a
+    theft-annotated segment, else 0; `categories` holds each segment's video
+    category as an index into CATEGORIES (-1 for any other name).
+    """
+
+    scores: np.ndarray  # (N,) float64
+    labels: np.ndarray  # (N,) int64
+    categories: np.ndarray  # (N,) int64
+    offsets: np.ndarray  # (V + 1,) int64
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    @classmethod
+    def from_segments(cls, segments) -> "ScoredSplit":
+        """Adapter for a sequence of ScoredSegment, taken as one video."""
+        segments = list(segments)
+        codes = {category: i for i, category in enumerate(CATEGORIES)}
+        return cls(
+            np.array([s.score for s in segments], dtype=np.float64),
+            np.array([1 if s.is_theft else 0 for s in segments], dtype=np.int64),
+            np.array([codes.get(s.category, -1) for s in segments], dtype=np.int64),
+            np.array([0, len(segments)], dtype=np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class EvalReport:
     overall_auc: float
@@ -141,22 +173,22 @@ class EvalReport:
 def per_category_eval(segments, threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
     """Overall AUC plus one AUC per normal category against theft segments.
 
-    Category AUCs compare theft-annotated segments with the segments of
-    videos in that category alone; categories without segments are simply
-    absent from the map. Non-theft segments of theft videos count only in
-    the overall AUC.
+    `segments` is a ScoredSplit; a sequence of ScoredSegment is converted
+    first. Category AUCs compare theft-annotated segments with the segments
+    of videos in that category alone, in split order; categories without
+    segments are simply absent from the map. Non-theft segments of theft
+    videos count only in the overall AUC.
     """
-    segments = list(segments)
-    scores = np.array([s.score for s in segments], dtype=np.float64)
-    labels = np.array([1 if s.is_theft else 0 for s in segments], dtype=np.int64)
+    if not isinstance(segments, ScoredSplit):
+        segments = ScoredSplit.from_segments(segments)
+    scores, labels = segments.scores, segments.labels
     overall = auc(scores, labels)
 
-    theft_scores = scores[labels == 1]
+    theft = labels == 1
+    theft_scores = scores[theft]
     per_category = {}
     for category in NORMAL_CATEGORIES:
-        cat_scores = np.array(
-            [s.score for s in segments if s.category == category], dtype=np.float64
-        )
+        cat_scores = scores[segments.categories == CATEGORIES.index(category)]
         if cat_scores.size == 0:
             continue
         merged = np.concatenate([theft_scores, cat_scores])
@@ -173,16 +205,20 @@ def per_category_eval(segments, threshold: float = DEFAULT_THRESHOLD) -> EvalRep
         threshold=threshold,
         segment_count=len(segments),
         detections_total=int(flags.sum()),
-        detections_theft=int(flags[labels == 1].sum()),
-        detections_normal=int(flags[labels == 0].sum()),
+        detections_theft=int(flags[theft].sum()),
+        detections_normal=int(flags[~theft].sum()),
     )
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    """CSV export: header `threshold,fpr,tpr`, one row per curve point."""
-    lines = ["threshold,fpr,tpr"]
-    lines += (f"{t},{f},{r}" for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr))
-    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    """CSV export: header `threshold,fpr,tpr`, one row per curve point.
+
+    Values are written as `repr` of a Python float: the shortest text that
+    reads back to the same float64.
+    """
+    columns = (map(repr, c.tolist()) for c in (curve.thresholds, curve.fpr, curve.tpr))
+    text = "threshold,fpr,tpr\n" + "\n".join(map(",".join, zip(*columns))) + "\n"
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
@@ -190,13 +226,16 @@ def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
     margin = 40
     span = size - 2 * margin
 
-    def sx(v: float) -> float:
+    # each takes a float or an array of them
+    def sx(v):
         return margin + v * span
 
-    def sy(v: float) -> float:
+    def sy(v):
         return size - margin - v * span
 
-    points = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for f, t in zip(curve.fpr, curve.tpr))
+    points = " ".join(
+        map("{:.2f},{:.2f}".format, sx(curve.fpr).tolist(), sy(curve.tpr).tolist())
+    )
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
         f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '

@@ -51,6 +51,12 @@ def plan_segments(total_frames: int, segment_length: int) -> SegmentPlan:
     return SegmentPlan(total_frames=total_frames, segment_length=segment_length)
 
 
+# At or above this norm, a vector of fewer than 2**54 entries has a normal
+# float (>= 2**-1022) as its largest square; below it, the squares may be
+# subnormal and carry too few bits for a unit-norm result.
+_SMALL_NORM = 2.0 ** -484
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale each vector along the last axis to unit Euclidean norm; zero
     vectors are returned unchanged.
@@ -59,7 +65,8 @@ def l2_normalize(v) -> np.ndarray:
     not abort a pipeline run. Each norm is the square root of a stacked
     row-by-column product, which reduces in the same order as
     `np.linalg.norm` of the vector alone, so results do not depend on how
-    many vectors are normalized together.
+    many vectors are normalized together. A nonzero vector too small for
+    that (norm below 2**-484) is first divided by its largest entry.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
@@ -67,7 +74,14 @@ def l2_normalize(v) -> np.ndarray:
     rows = v.reshape(-1, v.shape[-1])
     norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))
     norms = norms.reshape(v.shape[:-1] + (1,))
-    return np.divide(v, norms, out=v.copy(), where=norms != 0.0)
+    out = np.divide(v, norms, out=v.copy(), where=norms != 0.0)
+    small = norms[..., 0] < _SMALL_NORM
+    if small.any():
+        # zero vectors stay as they are
+        small &= np.any(v != 0.0, axis=-1)
+        w = v[small]
+        out[small] = l2_normalize(w / np.abs(w).max(axis=-1, keepdims=True))
+    return out
 
 
 def aggregate_segment(clips) -> np.ndarray:

@@ -236,9 +236,7 @@ def _train_and_eval(tmp_dir, separation: float):
     run = train(load_split_bags(manifest, "train", config.fusion_mode), config)
     test_bags = load_split_bags(manifest, "test", config.fusion_mode)
     segments = scored_test_segments(manifest, run.head, config.fusion_mode)
-    value = auc(
-        [s.score for s in segments], [1 if s.is_theft else 0 for s in segments]
-    )
+    value = auc(segments.scores, segments.labels)
     elapsed = time.monotonic() - t0
     return SimpleNamespace(
         manifest=manifest, run=run, test_bags=test_bags, auc=value, elapsed=elapsed
@@ -392,10 +390,17 @@ def test_criterion_8_per_category_evaluation(tmp_path):
     rep = per_category_eval(segments)
 
     keys_ok = set(rep.per_category_auc) == set(NORMAL_CATEGORIES)
-    theft_scores = [s.score for s in segments if s.is_theft]
+    theft_scores = segments.scores[segments.labels == 1].tolist()
+    # each video's scores, with its category from the manifest record
+    videos = [
+        (rec.category, segments.scores[start:stop].tolist())
+        for rec, start, stop in zip(
+            manifest.split_records("test"), segments.offsets[:-1], segments.offsets[1:]
+        )
+    ]
     worst = 0.0
     for category in NORMAL_CATEGORIES:
-        cat_scores = [s.score for s in segments if s.category == category]
+        cat_scores = [s for c, scores in videos if c == category for s in scores]
         expected = _pairwise_auc(
             np.array(theft_scores + cat_scores),
             np.array([1] * len(theft_scores) + [0] * len(cat_scores)),

@@ -152,6 +152,49 @@ class TestRocCommand:
         assert abs(area - report["overall_auc"]) < 1e-6
 
 
+class TestEvalErrors:
+    """`ptde eval` and `ptde roc` exit 2 when the test split cannot be scored
+    against ground truth, and `roc` then writes no file."""
+
+    def _edited(self, dataset, name, edit):
+        # written next to the original, so its relative feature paths resolve
+        manifest = json.loads(dataset.read_text(encoding="utf-8"))
+        thefts = [v for v in manifest["videos"]
+                  if v["split"] == "test" and v["category"] == "PackageTheft"]
+        edit(thefts)
+        path = dataset.parent / name
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path, thefts
+
+    def _assert_both_exit_2(self, manifest, checkpoint, tmp_path, capsys, needle):
+        common = ["--checkpoint", str(checkpoint), "--manifest", str(manifest)]
+        csv = tmp_path / "roc.csv"
+        for argv in (["eval", *common], ["roc", *common, "--out-csv", str(csv)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert needle in captured.err
+        assert not csv.exists()
+
+    def test_theft_video_without_annotations(self, dataset, checkpoint, tmp_path, capsys):
+        manifest, thefts = self._edited(
+            dataset, "no-annotations.json", lambda v: v[-1].pop("annotations")
+        )
+        self._assert_both_exit_2(
+            manifest, checkpoint, tmp_path, capsys, repr(thefts[-1]["id"])
+        )
+
+    def test_no_theft_segments(self, dataset, checkpoint, tmp_path, capsys):
+        def clear(thefts):
+            for v in thefts:
+                v["annotations"] = [0] * len(v["annotations"])
+
+        manifest, _ = self._edited(dataset, "no-theft-segments.json", clear)
+        self._assert_both_exit_2(
+            manifest, checkpoint, tmp_path, capsys, "at least one positive"
+        )
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

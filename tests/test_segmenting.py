@@ -68,6 +68,15 @@ class TestL2Normalize:
         with pytest.raises(NonFiniteInput):
             l2_normalize([1.0, bad])
 
+    @pytest.mark.parametrize("values", [
+        [7.214622077101734e-162], [1e-170, -1e-170], [5e-324, 5e-324, 0.0],
+    ])
+    def test_tiny_vector_has_unit_norm(self, values):
+        # these squares are subnormal or zero in float64
+        out = l2_normalize(values)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        assert np.array_equal(np.sign(out), np.sign(values))
+
     @given(st.lists(finite_floats, min_size=1, max_size=32))
     def test_norm_is_zero_or_one(self, values):
         out = l2_normalize(values)
