@@ -31,7 +31,6 @@ from .metrics import (
     DEFAULT_THRESHOLD,
     EvalReport,
     RocCurve,
-    ScoredSegment,
     ScoredSplit,
     apply_threshold,
     auc,
@@ -47,12 +46,11 @@ from .scoring import (
 )
 from .segmenting import SegmentPlan, aggregate_segment, l2_normalize, plan_segments
 from .synth import SynthSpec, generate_synthetic
-from .trainer import AdagradState, TrainConfig, TrainRun, adagrad_step, train
+from .trainer import TrainConfig, TrainRun, adagrad_step, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdagradState",
     "CheckpointMeta",
     "DEFAULT_THRESHOLD",
     "EvalReport",
@@ -61,7 +59,6 @@ __all__ = [
     "Manifest",
     "PtdeError",
     "RocCurve",
-    "ScoredSegment",
     "ScoredSplit",
     "ScoringHead",
     "SegmentPlan",

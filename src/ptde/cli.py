@@ -61,8 +61,9 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     """Score every test-split segment into one ScoredSplit, in manifest order.
 
     Each video is scored by its own `score_segments` call into its slice,
-    sized from the manifest's segment count. Theft videos must carry
-    segment-level annotations; normal videos are all-negative by definition.
+    sized from the manifest's segment count. Labels and categories come
+    from the manifest records. Theft videos must carry segment-level
+    annotations; normal videos are all-negative by definition.
     """
     records = manifest.split_records("test")
     counts = [
@@ -75,12 +76,12 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     for rec, start, stop in zip(records, offsets[:-1], offsets[1:]):
         bag = load_video_bag(manifest, rec.video_id, fusion_mode)
         scores[start:stop] = score_segments(head, bag.embeddings)
-        if bag.is_positive:
-            if bag.ground_truth is None:
+        if rec.is_positive:
+            if rec.annotations is None:
                 raise MissingGroundTruth(
                     f"test video {rec.video_id!r} has no segment annotations"
                 )
-            labels[start:stop] = bag.ground_truth
+            labels[start:stop] = rec.annotations
     categories = np.repeat(
         np.array([CATEGORIES.index(rec.category) for rec in records], dtype=np.int64),
         counts,

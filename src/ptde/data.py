@@ -5,7 +5,9 @@ extractors. Appearance features arrive in PTDF binary files (header: magic
 "PTDF", version, clip count, dimension as 32-bit little-endian integers,
 then clip_count x dim little-endian float32 values). Pose keypoints arrive
 as the JSON documents described in the pose module. A JSON manifest ties
-the files to labels, splits, and category tags.
+the files to labels, splits, and category tags; its VideoRecords keep each
+video's id, category, annotations and clip count, and a VideoBag holds only
+what training reads: segment embeddings and the bag label.
 
 Checkpoints carry the scoring head: magic "PTDE", version, input_dim, the
 three layer widths, fusion-mode tag, and seed, followed by the parameters
@@ -76,15 +78,11 @@ def write_feature_file(path, clips) -> None:
         fh.write(clips.tobytes())
 
 
-def read_feature_header(path) -> tuple[int, int]:
-    """(clip_count, dim) from a PTDF header; validates total file size."""
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        head = fh.read(_FEATURE_HEADER.size)
+def _check_feature_header(path, head: bytes, size: int) -> tuple[int, int]:
+    """(clip_count, dim) from a PTDF file's first bytes and its total size."""
     if len(head) < _FEATURE_HEADER.size:
         raise CorruptFeatureFile(f"{path}: header truncated at byte {len(head)}")
-    magic, version, count, dim = _FEATURE_HEADER.unpack(head)
+    magic, version, count, dim = _FEATURE_HEADER.unpack_from(head)
     if magic != FEATURE_MAGIC:
         raise CorruptFeatureFile(f"{path}: bad magic {magic!r}")
     if version != FEATURE_VERSION:
@@ -99,10 +97,23 @@ def read_feature_header(path) -> tuple[int, int]:
     return count, dim
 
 
+def read_feature_header(path) -> tuple[int, int]:
+    """(clip_count, dim) from a PTDF header; validates total file size."""
+    path = Path(path)
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(_FEATURE_HEADER.size)
+    return _check_feature_header(path, head, size)
+
+
 def read_feature_file(path) -> np.ndarray:
-    """Load a PTDF file as a (clip_count, dim) float64 array."""
-    count, dim = read_feature_header(path)
+    """Load a PTDF file as a (clip_count, dim) float64 array.
+
+    The header checks run on the bytes that are decoded, so a file that
+    changes between two reads cannot pass them.
+    """
     data = Path(path).read_bytes()
+    count, dim = _check_feature_header(path, data, len(data))
     clips = np.frombuffer(
         data, dtype="<f4", offset=_FEATURE_HEADER.size, count=count * dim
     ).reshape(count, dim)
@@ -250,20 +261,24 @@ def load_manifest(path) -> Manifest:
         annotations = None
         if "annotations" in video and video["annotations"] is not None:
             ann = _field(video, "annotations", list, where)
-            for a in ann:
-                if isinstance(a, bool) or a not in (0, 1):
-                    raise ManifestSyntax(f"{where}: annotations must be 0 or 1")
+            try:
+                values = set(ann)
+            except TypeError:  # a list or an object among the values
+                values = None
+            # True == 1 and False == 0, so booleans need their own test
+            if values is None or not values <= {0, 1} or bool in set(map(type, ann)):
+                raise ManifestSyntax(f"{where}: annotations must be 0 or 1")
             num_segments = (clip_count * clip_length) // segment_length
             if len(ann) != num_segments:
                 raise ManifestSyntax(
                     f"{where}: {len(ann)} annotations but the video has "
                     f"{num_segments} segments"
                 )
-            if category != THEFT_CATEGORY and any(ann):
+            if category != THEFT_CATEGORY and 1 in values:
                 raise ManifestSyntax(
                     f"{where}: theft annotations on a {category} video"
                 )
-            annotations = tuple(int(a) for a in ann)
+            annotations = tuple(map(int, ann))
         records.append(
             VideoRecord(
                 video_id=vid,
@@ -293,22 +308,31 @@ def load_manifest(path) -> Manifest:
 
 @dataclass(frozen=True)
 class VideoBag:
-    """One video as an ordered set of segment embeddings plus its bag label."""
+    """One video as an ordered set of segment embeddings plus its bag label.
 
-    video_id: str
+    Everything else about the video (id, category, annotations) stays on
+    its manifest VideoRecord.
+    """
+
     embeddings: np.ndarray  # (num_segments, dim)
     is_positive: bool
-    category: str
-    ground_truth: tuple[int, ...] | None
 
 
 def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -> VideoBag:
     """Assemble one video's bag: aggregate clips, pool pose, fuse.
 
     Each stage runs once over the whole video, on (segments, ...) arrays.
+    The feature file must still hold the clip count the manifest was
+    loaded with, which the segment count and annotations were checked
+    against.
     """
     rec = manifest.record(video_id)
     clips = read_feature_file(rec.feature_path)
+    if clips.shape[0] != rec.clip_count:
+        raise CorruptFeatureFile(
+            f"{rec.feature_path}: {clips.shape[0]} clips, but the manifest was "
+            f"loaded with {rec.clip_count}"
+        )
     plan = plan_segments(
         clips.shape[0] * manifest.clip_length, manifest.segment_length
     )
@@ -338,20 +362,7 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
         )
 
     embeddings = fuse(appearance, pose, fusion_mode, expected_dim=manifest.feature_dim)
-
-    ground_truth = rec.annotations
-    if ground_truth is not None and len(ground_truth) != plan.num_segments:
-        raise ManifestSyntax(
-            f"video {video_id!r}: {len(ground_truth)} annotations for "
-            f"{plan.num_segments} segments"
-        )
-    return VideoBag(
-        video_id=video_id,
-        embeddings=embeddings,
-        is_positive=rec.is_positive,
-        category=rec.category,
-        ground_truth=ground_truth,
-    )
+    return VideoBag(embeddings=embeddings, is_positive=rec.is_positive)
 
 
 def load_split_bags(manifest: Manifest, split: str, fusion_mode: FusionMode) -> list[VideoBag]:

@@ -3,7 +3,7 @@
 AUC is the probability that a uniformly random positive segment outscores a
 uniformly random negative one, ties counting one half. That definition and
 the trapezoidal area under the threshold-sweep ROC curve agree exactly, so
-either view can be checked against the other. Evaluation works on a
+either view can be checked against the other. Evaluation takes only a
 ScoredSplit: flat arrays of scores, theft labels and category codes with
 per-video offsets.
 """
@@ -107,15 +107,6 @@ def apply_threshold(scores, threshold: float) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64) > threshold
 
 
-@dataclass(frozen=True)
-class ScoredSegment:
-    """One evaluated segment: model score, theft ground truth, video category."""
-
-    score: float
-    is_theft: bool
-    category: str
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredSplit:
     """A split's evaluated segments as flat arrays, videos back to back.
@@ -132,18 +123,6 @@ class ScoredSplit:
 
     def __len__(self) -> int:
         return self.scores.size
-
-    @classmethod
-    def from_segments(cls, segments) -> "ScoredSplit":
-        """Adapter for a sequence of ScoredSegment, taken as one video."""
-        segments = list(segments)
-        codes = {category: i for i, category in enumerate(CATEGORIES)}
-        return cls(
-            np.array([s.score for s in segments], dtype=np.float64),
-            np.array([1 if s.is_theft else 0 for s in segments], dtype=np.int64),
-            np.array([codes.get(s.category, -1) for s in segments], dtype=np.int64),
-            np.array([0, len(segments)], dtype=np.int64),
-        )
 
 
 @dataclass(frozen=True)
@@ -170,17 +149,14 @@ class EvalReport:
         }
 
 
-def per_category_eval(segments, threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
+def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
     """Overall AUC plus one AUC per normal category against theft segments.
 
-    `segments` is a ScoredSplit; a sequence of ScoredSegment is converted
-    first. Category AUCs compare theft-annotated segments with the segments
-    of videos in that category alone, in split order; categories without
+    Category AUCs compare theft-annotated segments with the segments of
+    videos in that category alone, in split order; categories without
     segments are simply absent from the map. Non-theft segments of theft
     videos count only in the overall AUC.
     """
-    if not isinstance(segments, ScoredSplit):
-        segments = ScoredSplit.from_segments(segments)
     scores, labels = segments.scores, segments.labels
     overall = auc(scores, labels)
 

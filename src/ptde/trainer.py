@@ -3,7 +3,9 @@
 One epoch = sample `pairs_per_epoch` (positive, negative) bag pairs with
 replacement, stack their rows, run one batched forward/backward pass over
 them, average the summed pair-objective gradients, and take one in-place
-Adagrad step. Runs are bit-for-bit reproducible from (dataset, config).
+Adagrad step. The squared-gradient sums live in a second ScoringHead,
+zeroed at the start. Runs are bit-for-bit reproducible from (dataset,
+config).
 """
 
 from dataclasses import dataclass, replace
@@ -46,39 +48,27 @@ class TrainConfig:
             raise ValueError("seed must be a non-negative integer")
 
 
-@dataclass
-class AdagradState:
-    """Per-parameter sums of squared gradients plus a step counter."""
-
-    sum_sq: ScoringHead
-    step: int = 0
-
-
-def init_adagrad(head: ScoringHead) -> AdagradState:
-    return AdagradState(sum_sq=ScoringHead(*(np.zeros_like(p) for p in head.params())))
-
-
 def adagrad_step(
-    head: ScoringHead, grads: ScoringHead, state: AdagradState, learning_rate: float, epsilon: float
+    head: ScoringHead, grads: ScoringHead, sum_sq: ScoringHead, learning_rate: float, epsilon: float
 ) -> None:
     """One Adagrad update in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
-    Epsilon sits outside the square root. The operations keep the order of
-    that formula, so a step is bitwise equal to it.
+    `sum_sq` holds the per-parameter sums of squared gradients, laid out as
+    a head. Epsilon sits outside the square root. The operations keep the
+    order of that formula, so a step is bitwise equal to it.
     """
-    for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params()):
+    for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         if p.shape != g.shape or p.shape != s.shape:
             raise ShapeMismatch(
                 f"parameter/gradient/accumulator shapes differ: {p.shape} vs {g.shape} vs {s.shape}"
             )
-    for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params()):
+    for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         s += g * g
         u = g * learning_rate
         t = np.sqrt(s)
         t += epsilon
         u /= t
         p -= u
-    state.step += 1
 
 
 @dataclass
@@ -113,7 +103,7 @@ def train(dataset, config: TrainConfig) -> TrainRun:
     pos_lengths = np.array([len(b.embeddings) for b in pos])
     neg_lengths = np.array([len(b.embeddings) for b in neg])
     head = init_head(input_dim, config.seed)
-    state = init_adagrad(head)
+    sum_sq = ScoringHead(*(np.zeros_like(p) for p in head.params()))
     # sampling stream keyed off the seed, distinct from the init stream
     sampler = np.random.default_rng([config.seed, 1])
     history = np.empty((config.epochs, len(HISTORY_COLUMNS)))
@@ -138,7 +128,7 @@ def train(dataset, config: TrainConfig) -> TrainRun:
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
         for g in grads.params():
             g /= pairs
-        adagrad_step(head, grads, state, config.learning_rate, config.adagrad_epsilon)
+        adagrad_step(head, grads, sum_sq, config.learning_rate, config.adagrad_epsilon)
 
     return TrainRun(head=head, history=history, config=replace(config))
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ptde.data import VideoBag
 from ptde.errors import NonFiniteLoss
 from ptde.scoring import ScoringHead, backprop, init_head
-from ptde.trainer import HISTORY_COLUMNS, TrainConfig, adagrad_step, init_adagrad, train
+from ptde.trainer import HISTORY_COLUMNS, TrainConfig, adagrad_step, train
 
 DIM = 5
 LAM1 = LAM2 = 8e-5
@@ -111,12 +111,12 @@ def test_batched_epoch_matches_per_pair_loop(case):
     # one Adagrad step on the mean gradient: in place == functional, bitwise
     for g in grads.params():
         g /= len(pos_bags)
-    state = init_adagrad(head)
+    sum_sq = ScoringHead(*(np.zeros_like(p) for p in head.params()))
     expected_params, expected_sums = functional_adagrad(
-        head.params(), grads.params(), state.sum_sq.params(), 0.01, 1e-8
+        head.params(), grads.params(), sum_sq.params(), 0.01, 1e-8
     )
-    adagrad_step(head, grads, state, 0.01, 1e-8)
-    for p, s, ep, es in zip(head.params(), state.sum_sq.params(), expected_params, expected_sums):
+    adagrad_step(head, grads, sum_sq, 0.01, 1e-8)
+    for p, s, ep, es in zip(head.params(), sum_sq.params(), expected_params, expected_sums):
         assert np.array_equal(p, ep)
         assert np.array_equal(s, es)
 
@@ -139,7 +139,7 @@ def make_bags(rng, n_pos=5, n_neg=5, dim=DIM):
         positive = i < n_pos
         if positive:
             x[0, 0] += 2.0
-        bags.append(VideoBag(f"v{i}", x, positive, "PackageTheft" if positive else "Pickup", None))
+        bags.append(VideoBag(x, positive))
     return bags
 
 

@@ -1,10 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
 from ptde.cli import main
-from ptde.data import read_feature_header
+from ptde.data import (
+    load_manifest,
+    read_feature_file,
+    read_feature_header,
+    save_checkpoint,
+    write_feature_file,
+)
+from ptde.fusion import FusionMode
 from ptde.metrics import NORMAL_CATEGORIES
+from ptde.scoring import init_head
+from ptde.trainer import TrainConfig
 
 TINY = [
     "--dim", "8",
@@ -193,6 +203,49 @@ class TestEvalErrors:
         self._assert_both_exit_2(
             manifest, checkpoint, tmp_path, capsys, "at least one positive"
         )
+
+
+class TestFeatureFileChangedAfterLoad:
+    """A feature file rewritten after `load_manifest` no longer matches the
+    clip count the segments and annotations were sized from: `eval` and
+    `roc` exit 2 and name the file."""
+
+    @pytest.mark.parametrize("extra_clips", [3, -1], ids=["grown", "shrunk"])
+    def test_eval_and_roc_exit_2(self, tmp_path, monkeypatch, capsys, extra_clips):
+        # global-only, so no pose document is read to catch the change
+        checkpoint = tmp_path / "m.ckpt"
+        save_checkpoint(
+            init_head(8, seed=0), TrainConfig(fusion_mode=FusionMode.GLOBAL_ONLY), checkpoint
+        )
+        root = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(root), "--seed", "4", *TINY]) == 0
+        capsys.readouterr()
+        path = root / "manifest.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        normal = [v for v in raw["videos"]
+                  if v["split"] == "test" and v["category"] != "PackageTheft"]
+        for v in normal:  # normal videos are all-negative without annotations
+            del v["annotations"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        feature = root / normal[0]["feature_file"]
+        clips = read_feature_file(feature)
+        changed = np.ones((len(clips) + extra_clips, clips.shape[1]))
+
+        def load_then_rewrite(manifest_path):
+            manifest = load_manifest(manifest_path)
+            write_feature_file(feature, changed)
+            return manifest
+
+        monkeypatch.setattr("ptde.cli.load_manifest", load_then_rewrite)
+        common = ["--checkpoint", str(checkpoint), "--manifest", str(path)]
+        csv = tmp_path / "roc.csv"
+        for argv in (["eval", *common], ["roc", *common, "--out-csv", str(csv)]):
+            write_feature_file(feature, clips)  # the original, as load_manifest sees it
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{feature}: {len(changed)} clips" in captured.err
+        assert not csv.exists()
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ class TestFeatureFiles:
         with pytest.raises(CorruptFeatureFile, match="non-finite"):
             read_feature_file(path)
 
+    def test_file_shrinking_before_the_read_is_checked(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.ptdf"
+        write_feature_file(path, np.ones((4, DIM)))
+        size = path.stat().st_size
+        read_bytes = Path.read_bytes
+
+        def truncate_then_read(self):
+            with open(self, "r+b") as fh:
+                fh.truncate(size - 8)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", truncate_then_read)
+        with pytest.raises(CorruptFeatureFile, match=f"byte offset {size - 8}"):
+            read_feature_file(path)
+
 
 class TestLoadManifest:
     def test_minimal_manifest(self, tmp_path):
@@ -205,6 +221,28 @@ class TestLoadManifest:
         with pytest.raises(ManifestSyntax):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "annotations, expected",
+        [
+            ([True, False], None),
+            ([float("nan"), 0], None),
+            (["1", 0], None),
+            ([[1], 0], None),
+            ([1.0, 0.0], (1, 0)),
+            ([-0.0, 1], (0, 1)),
+        ],
+    )
+    def test_annotation_value_types(self, tmp_path, annotations, expected):
+        # 4 clips * 16 frames = 64 frames -> 2 segments of 32
+        path = make_dataset(
+            tmp_path, [{"id": "a", "clip_count": 4, "annotations": annotations}]
+        )
+        if expected is None:
+            with pytest.raises(ManifestSyntax, match="must be 0 or 1"):
+                load_manifest(path)
+        else:
+            assert load_manifest(path).record("a").annotations == expected
+
 
 class TestLoadVideoBag:
     def test_segment_arithmetic(self, tmp_path):
@@ -275,9 +313,7 @@ class TestLoadVideoBag:
         path = make_dataset(
             tmp_path, [{"id": "a", "clip_count": 6, "annotations": [0, 1, 0]}]
         )
-        manifest = load_manifest(path)
-        bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
-        assert bag.ground_truth == (0, 1, 0)
+        assert load_manifest(path).record("a").annotations == (0, 1, 0)
 
 
 class TestCheckpoints:

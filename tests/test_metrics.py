@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from ptde.errors import DegenerateLabels, LengthMismatch
 from ptde.metrics import (
+    CATEGORIES,
     DEFAULT_THRESHOLD,
     NORMAL_CATEGORIES,
-    ScoredSegment,
+    ScoredSplit,
     apply_threshold,
     auc,
     per_category_eval,
@@ -146,24 +149,36 @@ class TestApplyThreshold:
         assert apply_threshold([0.5, 0.9], 0.1).tolist() == [True, True]
 
 
-def segment(score, is_theft, category):
-    return ScoredSegment(score=score, is_theft=is_theft, category=category)
+class Segment(NamedTuple):
+    score: float
+    is_theft: bool
+    category: str
+
+
+def split(segments):
+    """The ScoredSplit of a list of Segment rows, taken as one video."""
+    return ScoredSplit(
+        np.array([s.score for s in segments], dtype=np.float64),
+        np.array([int(s.is_theft) for s in segments], dtype=np.int64),
+        np.array([CATEGORIES.index(s.category) for s in segments], dtype=np.int64),
+        np.array([0, len(segments)], dtype=np.int64),
+    )
 
 
 class TestPerCategoryEval:
     def test_single_category_present(self):
         segments = [
-            segment(0.9, True, "PackageTheft"),
-            segment(0.1, False, "Delivery"),
+            Segment(0.9, True, "PackageTheft"),
+            Segment(0.1, False, "Delivery"),
         ]
-        report = per_category_eval(segments)
+        report = per_category_eval(split(segments))
         assert set(report.per_category_auc) == {"Delivery"}
 
     def test_perfect_scores_give_ones(self):
-        segments = [segment(1.0, True, "PackageTheft")]
+        segments = [Segment(1.0, True, "PackageTheft")]
         for cat in NORMAL_CATEGORIES:
-            segments += [segment(0.0, False, cat)] * 3
-        report = per_category_eval(segments)
+            segments += [Segment(0.0, False, cat)] * 3
+        report = per_category_eval(split(segments))
         assert report.overall_auc == 1.0
         assert set(report.per_category_auc) == set(NORMAL_CATEGORIES)
         assert all(v == 1.0 for v in report.per_category_auc.values())
@@ -172,11 +187,11 @@ class TestPerCategoryEval:
         rng = np.random.default_rng(11)
         segments = []
         for _ in range(40):
-            segments.append(segment(float(rng.random()), True, "PackageTheft"))
-            segments.append(segment(float(rng.random()), False, "PackageTheft"))
+            segments.append(Segment(float(rng.random()), True, "PackageTheft"))
+            segments.append(Segment(float(rng.random()), False, "PackageTheft"))
             for cat in NORMAL_CATEGORIES:
-                segments.append(segment(float(rng.random()), False, cat))
-        report = per_category_eval(segments)
+                segments.append(Segment(float(rng.random()), False, cat))
+        report = per_category_eval(split(segments))
         theft_scores = [s.score for s in segments if s.is_theft]
         for cat in NORMAL_CATEGORIES:
             cat_scores = [s.score for s in segments if s.category == cat]
@@ -190,18 +205,18 @@ class TestPerCategoryEval:
         assert abs(report.overall_auc - pairwise_auc(np.array(all_scores), np.array(all_labels))) <= 1e-12
 
     def test_no_theft_segments_is_fatal(self):
-        segments = [segment(0.5, False, "Pickup"), segment(0.2, False, "Delivery")]
+        segments = [Segment(0.5, False, "Pickup"), Segment(0.2, False, "Delivery")]
         with pytest.raises(DegenerateLabels):
-            per_category_eval(segments)
+            per_category_eval(split(segments))
 
     def test_detection_counts(self):
         segments = [
-            segment(0.9, True, "PackageTheft"),
-            segment(0.21, False, "Pickup"),
-            segment(0.2, False, "Pickup"),  # exactly at threshold: no detection
-            segment(0.05, False, "Delivery"),
+            Segment(0.9, True, "PackageTheft"),
+            Segment(0.21, False, "Pickup"),
+            Segment(0.2, False, "Pickup"),  # exactly at threshold: no detection
+            Segment(0.05, False, "Delivery"),
         ]
-        report = per_category_eval(segments, threshold=0.2)
+        report = per_category_eval(split(segments), threshold=0.2)
         assert report.threshold == 0.2
         assert report.segment_count == 4
         assert report.detections_total == 2
@@ -210,10 +225,10 @@ class TestPerCategoryEval:
 
     def test_report_dict_shape(self):
         segments = [
-            segment(0.9, True, "PackageTheft"),
-            segment(0.1, False, "Irrelevant"),
+            Segment(0.9, True, "PackageTheft"),
+            Segment(0.1, False, "Irrelevant"),
         ]
-        d = per_category_eval(segments).to_dict()
+        d = per_category_eval(split(segments)).to_dict()
         assert d["threshold"] == DEFAULT_THRESHOLD
         assert set(d) == {
             "overall_auc", "per_category_auc", "threshold",

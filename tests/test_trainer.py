@@ -14,7 +14,6 @@ from ptde.scoring import ScoringHead, score_segments
 from ptde.trainer import (
     TrainConfig,
     adagrad_step,
-    init_adagrad,
     train,
     write_run_log,
 )
@@ -40,10 +39,10 @@ def make_bags(rng, n_pos=6, n_neg=6, dim=8, separation=4.0, segments=4):
     for i in range(n_pos):
         x = rng.standard_normal((segments, dim)) * 0.3
         x[rng.integers(0, segments)] += separation * direction
-        bags.append(VideoBag(f"pos{i}", x, True, "PackageTheft", None))
+        bags.append(VideoBag(x, True))
     for i in range(n_neg):
         x = rng.standard_normal((segments, dim)) * 0.3
-        bags.append(VideoBag(f"neg{i}", x, False, "Delivery", None))
+        bags.append(VideoBag(x, False))
     return bags
 
 
@@ -55,21 +54,20 @@ class TestAdagradStep:
     def test_zero_gradient_is_identity(self):
         head = micro_head()
         old_head = copy_head(head)
-        state = init_adagrad(head)
-        old_sums = copy_head(state.sum_sq)
-        adagrad_step(head, grads_like(head, 0.0), state, 0.01, 1e-8)
+        sum_sq = grads_like(head, 0.0)
+        old_sums = copy_head(sum_sq)
+        adagrad_step(head, grads_like(head, 0.0), sum_sq, 0.01, 1e-8)
         for old, new in zip(old_head.params(), head.params()):
             assert np.array_equal(old, new)
-        for old, new in zip(old_sums.params(), state.sum_sq.params()):
+        for old, new in zip(old_sums.params(), sum_sq.params()):
             assert np.array_equal(old, new)
-        assert state.step == 1
 
     def test_first_step_closed_form(self):
         head = micro_head()
         old_head = copy_head(head)
         g = 0.5
         lr, eps = 0.01, 1e-8
-        adagrad_step(head, grads_like(head, g), init_adagrad(head), lr, eps)
+        adagrad_step(head, grads_like(head, g), grads_like(head, 0.0), lr, eps)
         expected_delta = -lr * g / (g + eps)  # sqrt(g^2) = g on the first step
         for old, new in zip(old_head.params(), head.params()):
             np.testing.assert_allclose(new - old, expected_delta, rtol=1e-12)
@@ -78,43 +76,42 @@ class TestAdagradStep:
         head = micro_head()
         g, lr, eps = 0.7, 0.01, 1e-8
         grads = grads_like(head, g)
-        state = init_adagrad(head)
-        adagrad_step(head, grads, state, lr, eps)
+        sum_sq = grads_like(head, 0.0)
+        adagrad_step(head, grads, sum_sq, lr, eps)
         h1 = copy_head(head)
-        adagrad_step(head, grads, state, lr, eps)
+        adagrad_step(head, grads, sum_sq, lr, eps)
         expected_delta = -lr * g / (np.sqrt(2.0 * g * g) + eps)
         for a, b in zip(h1.params(), head.params()):
             np.testing.assert_allclose(b - a, expected_delta, rtol=1e-12)
-        assert state.step == 2
 
     def test_accumulators_never_decrease(self):
         rng = np.random.default_rng(0)
         head = micro_head()
-        state = init_adagrad(head)
-        prev = copy_head(state.sum_sq)
+        sum_sq = grads_like(head, 0.0)
+        prev = copy_head(sum_sq)
         for _ in range(10):
             grads = ScoringHead(
                 *(rng.standard_normal(p.shape) for p in head.params())
             )
-            adagrad_step(head, grads, state, 0.01, 1e-8)
-            for before, after in zip(prev.params(), state.sum_sq.params()):
+            adagrad_step(head, grads, sum_sq, 0.01, 1e-8)
+            for before, after in zip(prev.params(), sum_sq.params()):
                 assert np.all(after >= before)
-            prev = copy_head(state.sum_sq)
+            prev = copy_head(sum_sq)
 
     def test_in_place_step_matches_the_formula_bitwise(self):
         rng = np.random.default_rng(1)
         head = micro_head()
-        state = init_adagrad(head)
+        sum_sq = grads_like(head, 0.0)
         lr, eps = 0.01, 1e-8
         for _ in range(5):
             grads = ScoringHead(*(rng.standard_normal(p.shape) for p in head.params()))
             expected = [
                 (p - lr * g / (np.sqrt(s + g * g) + eps), s + g * g)
-                for p, g, s in zip(head.params(), grads.params(), state.sum_sq.params())
+                for p, g, s in zip(head.params(), grads.params(), sum_sq.params())
             ]
-            adagrad_step(head, grads, state, lr, eps)
+            adagrad_step(head, grads, sum_sq, lr, eps)
             for (p, s), new_p, new_s in zip(
-                expected, head.params(), state.sum_sq.params()
+                expected, head.params(), sum_sq.params()
             ):
                 assert np.array_equal(p, new_p)
                 assert np.array_equal(s, new_s)
@@ -124,7 +121,7 @@ class TestAdagradStep:
         bad = grads_like(head, 1.0)
         bad.w1 = np.zeros((3, 3))
         with pytest.raises(ShapeMismatch):
-            adagrad_step(head, bad, init_adagrad(head), 0.01, 1e-8)
+            adagrad_step(head, bad, grads_like(head, 0.0), 0.01, 1e-8)
 
 
 class TestTrainConfig:
@@ -181,17 +178,14 @@ class TestTrain:
     def test_mixed_dimensions(self):
         rng = np.random.default_rng(4)
         bags = make_bags(rng)
-        bags.append(VideoBag("odd", rng.standard_normal((2, 5)), False, "Pickup", None))
+        bags.append(VideoBag(rng.standard_normal((2, 5)), False))
         with pytest.raises(DimensionMismatch):
             train(bags, quick_config())
 
     def test_non_finite_loss_aborts_with_epoch(self):
         rng = np.random.default_rng(5)
         bags = make_bags(rng, n_pos=2, n_neg=2)
-        poisoned = VideoBag(
-            "nan", np.full((3, 8), np.nan), True, "PackageTheft", None
-        )
-        bags.append(poisoned)
+        bags.append(VideoBag(np.full((3, 8), np.nan), True))
         with pytest.raises(NonFiniteLoss, match="epoch"):
             train(bags, quick_config(epochs=50))
 
