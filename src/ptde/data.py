@@ -180,6 +180,10 @@ def _field(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+
+
 def load_manifest(path) -> Manifest:
     """Load and validate a manifest, probing every referenced file."""
     path = Path(path)
@@ -187,6 +191,8 @@ def load_manifest(path) -> Manifest:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifestSyntax(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestSyntax(f"{path}: {_not_utf8(exc)}") from exc
     try:
         raw = json.loads(text)
     # bad syntax, an integer past the digit limit, or nesting past the stack
@@ -347,7 +353,11 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
     if fusion_mode is FusionMode.GLOBAL_LOCAL_CONCAT:
         if rec.pose_path is None:
             raise MissingPose(f"video {video_id!r} has no pose file in the manifest")
-        candidates = parse_pose_document(rec.pose_path.read_text(encoding="utf-8"))
+        try:
+            doc = rec.pose_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedPoseFile(f"{rec.pose_path}: {_not_utf8(exc)}") from exc
+        candidates = parse_pose_document(doc)
         covered = plan.num_segments * manifest.segment_length
         if len(candidates) < covered:
             raise MalformedPoseFile(

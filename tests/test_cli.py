@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -246,6 +247,38 @@ class TestFeatureFileChangedAfterLoad:
             assert captured.out == ""
             assert f"{feature}: {len(changed)} clips" in captured.err
         assert not csv.exists()
+
+
+class TestNotUtf8:
+    """A manifest or pose document that is not UTF-8 is a contract error:
+    exit 2, naming the file and the offset of the first undecodable byte."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_pose_document_exits_2(self, dataset, checkpoint, tmp_path, capsys, command):
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        for pose in (root / "poses").iterdir():
+            pose.write_bytes(b"\xff\xfe" + pose.read_bytes())
+        manifest = str(root / "manifest.json")
+        argv = {
+            "train": ["train", "--manifest", manifest,
+                      "--out-checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1",
+                      "--fusion", "global-local"],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--manifest", manifest],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'poses'}" in err
+        assert "not UTF-8: byte 0xff at offset 0" in err
+
+    def test_manifest_exits_2(self, dataset, checkpoint, tmp_path, capsys):
+        raw = dataset.read_bytes()
+        offset = raw.index(b'"name": "') + len(b'"name": "')
+        manifest = dataset.parent / "not-utf8.json"
+        manifest.write_bytes(raw[:offset] + b"\xff" + raw[offset:])
+        assert main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: not UTF-8: byte 0xff at offset {offset}" in err
 
 
 class TestUsageErrors:
