@@ -20,7 +20,7 @@ from .data import (
     write_feature_file,
 )
 from .errors import PtdeError
-from .fusion import FusionMode, fuse, fused_dim
+from .fusion import FusionMode, fuse
 from .loss import (
     LossBreakdown,
     loss_score_gradients,
@@ -44,7 +44,7 @@ from .scoring import (
     init_head,
     score_segments,
 )
-from .segmenting import SegmentPlan, aggregate_segment, l2_normalize, plan_segments
+from .segmenting import aggregate_segment, l2_normalize
 from .synth import SynthSpec, generate_synthetic
 from .trainer import TrainConfig, TrainRun, adagrad_step, train
 
@@ -61,7 +61,6 @@ __all__ = [
     "RocCurve",
     "ScoredSplit",
     "ScoringHead",
-    "SegmentPlan",
     "SynthSpec",
     "TrainConfig",
     "TrainRun",
@@ -73,7 +72,6 @@ __all__ = [
     "auc",
     "backprop",
     "fuse",
-    "fused_dim",
     "generate_synthetic",
     "init_head",
     "l2_normalize",
@@ -85,7 +83,6 @@ __all__ = [
     "mil_ranking_loss",
     "parse_pose_document",
     "per_category_eval",
-    "plan_segments",
     "pool_pose",
     "pose_feature",
     "ranking_satisfied",

@@ -61,15 +61,12 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     """Score every test-split segment into one ScoredSplit, in manifest order.
 
     Each video is scored by its own `score_segments` call into its slice,
-    sized from the manifest's segment count. Labels and categories come
+    sized from the record's segment count. Labels and categories come
     from the manifest records. Theft videos must carry segment-level
     annotations; normal videos are all-negative by definition.
     """
     records = manifest.split_records("test")
-    counts = [
-        rec.clip_count * manifest.clip_length // manifest.segment_length
-        for rec in records
-    ]
+    counts = [rec.num_segments for rec in records]
     offsets = np.cumsum([0] + counts, dtype=np.int64)
     scores = np.empty(offsets[-1], dtype=np.float64)
     labels = np.zeros(offsets[-1], dtype=np.int64)

@@ -6,8 +6,9 @@ extractors. Appearance features arrive in PTDF binary files (header: magic
 then clip_count x dim little-endian float32 values). Pose keypoints arrive
 as the JSON documents described in the pose module. A JSON manifest ties
 the files to labels, splits, and category tags; its VideoRecords keep each
-video's id, category, annotations and clip count, and a VideoBag holds only
-what training reads: segment embeddings and the bag label.
+video's id, category, annotations, clip count and segment count, and a
+VideoBag holds only what training reads: segment embeddings and the bag
+label.
 
 Checkpoints carry the scoring head: magic "PTDE", version, input_dim, the
 three layer widths, fusion-mode tag, and seed, followed by the parameters
@@ -29,6 +30,7 @@ from .errors import (
     BadCategory,
     CorruptCheckpoint,
     CorruptFeatureFile,
+    EmptyVideo,
     InconsistentDimension,
     MalformedPoseFile,
     ManifestSyntax,
@@ -42,7 +44,7 @@ from .fusion import FusionMode, fuse
 from .metrics import CATEGORIES, THEFT_CATEGORY
 from .pose import parse_pose_document, pool_pose, pose_feature
 from .scoring import ScoringHead
-from .segmenting import aggregate_segment, plan_segments
+from .segmenting import aggregate_segment
 
 CLIP_FRAMES = 16
 
@@ -126,6 +128,14 @@ def read_feature_file(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VideoRecord:
+    """One manifest video.
+
+    A video of T = clip_count * clip_length frames is cut into
+    num_segments = floor(T / L) contiguous, non-overlapping segments of
+    exactly L = segment_length frames, segment i covering frames
+    [i * L, (i + 1) * L); the trailing T mod L frames are dropped.
+    """
+
     video_id: str
     split: str
     category: str
@@ -133,6 +143,7 @@ class VideoRecord:
     pose_path: Path | None
     annotations: tuple[int, ...] | None
     clip_count: int
+    num_segments: int
 
     @property
     def is_positive(self) -> bool:
@@ -259,6 +270,7 @@ def load_manifest(path) -> Manifest:
                 f"{feature_path}: file dimension {dim} != manifest "
                 f"feature_dim {feature_dim}"
             )
+        num_segments = clip_count * clip_length // segment_length
         pose_path = None
         if "pose_file" in video and video["pose_file"] is not None:
             pose_path = path.parent / _field(video, "pose_file", str, where)
@@ -274,7 +286,6 @@ def load_manifest(path) -> Manifest:
             # True == 1 and False == 0, so booleans need their own test
             if values is None or not values <= {0, 1} or bool in set(map(type, ann)):
                 raise ManifestSyntax(f"{where}: annotations must be 0 or 1")
-            num_segments = (clip_count * clip_length) // segment_length
             if len(ann) != num_segments:
                 raise ManifestSyntax(
                     f"{where}: {len(ann)} annotations but the video has "
@@ -294,6 +305,7 @@ def load_manifest(path) -> Manifest:
                 pose_path=pose_path,
                 annotations=annotations,
                 clip_count=clip_count,
+                num_segments=num_segments,
             )
         )
 
@@ -329,8 +341,9 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
 
     Each stage runs once over the whole video, on (segments, ...) arrays.
     The feature file must still hold the clip count the manifest was
-    loaded with, which the segment count and annotations were checked
-    against.
+    loaded with, which the record's segment count and annotations were
+    derived from. A video with no segment loads into the manifest and
+    raises EmptyVideo here, so it stops only the commands that need its bag.
     """
     rec = manifest.record(video_id)
     clips = read_feature_file(rec.feature_path)
@@ -339,13 +352,16 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
             f"{rec.feature_path}: {clips.shape[0]} clips, but the manifest was "
             f"loaded with {rec.clip_count}"
         )
-    plan = plan_segments(
-        clips.shape[0] * manifest.clip_length, manifest.segment_length
-    )
+    num_segments = rec.num_segments
+    if num_segments == 0:
+        raise EmptyVideo(
+            f"video of {rec.clip_count * manifest.clip_length} frames is shorter "
+            f"than one segment of {manifest.segment_length} frames"
+        )
     clips_per_segment = manifest.segment_length // manifest.clip_length
     appearance = aggregate_segment(
-        clips[: plan.num_segments * clips_per_segment].reshape(
-            plan.num_segments, clips_per_segment, clips.shape[1]
+        clips[: num_segments * clips_per_segment].reshape(
+            num_segments, clips_per_segment, clips.shape[1]
         )
     )
 
@@ -357,8 +373,11 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
             doc = rec.pose_path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedPoseFile(f"{rec.pose_path}: {_not_utf8(exc)}") from exc
-        candidates = parse_pose_document(doc)
-        covered = plan.num_segments * manifest.segment_length
+        try:
+            candidates = parse_pose_document(doc)
+        except MalformedPoseFile as exc:
+            raise MalformedPoseFile(f"{rec.pose_path}: {exc}") from exc
+        covered = num_segments * manifest.segment_length
         if len(candidates) < covered:
             raise MalformedPoseFile(
                 f"{rec.pose_path}: {len(candidates)} pose frames but segments "

@@ -17,13 +17,6 @@ class FusionMode(Enum):
     GLOBAL_LOCAL_CONCAT = "global-local"
 
 
-def fused_dim(appearance_dim: int, mode: FusionMode) -> int:
-    """Embedding dimension produced by `fuse` for a given appearance dim."""
-    if mode is FusionMode.GLOBAL_LOCAL_CONCAT:
-        return appearance_dim + SEGMENT_FEATURE_DIM
-    return appearance_dim
-
-
 def fuse(appearance, pose, mode: FusionMode, expected_dim: int | None = None) -> np.ndarray:
     """Combine appearance embeddings with pose features along the last axis.
 

@@ -34,8 +34,6 @@ class LossBreakdown:
     smoothness: float
     sparsity: float
     total: float
-    lambda1: float
-    lambda2: float
 
 
 def _validate_bag(scores, name: str) -> np.ndarray:
@@ -109,8 +107,6 @@ def mil_ranking_loss(
         smoothness=smoothness,
         sparsity=sparsity,
         total=hinge + smoothness + sparsity,
-        lambda1=lambda1,
-        lambda2=lambda2,
     )
 
 

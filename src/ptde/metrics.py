@@ -16,6 +16,7 @@ from .errors import DegenerateLabels, LengthMismatch
 from .fileio import write_atomic
 
 DEFAULT_THRESHOLD = 0.2
+ROC_SVG_SIZE = 400  # pixels, width and height
 
 THEFT_CATEGORY = "PackageTheft"
 NORMAL_CATEGORIES = ("Pickup", "Delivery", "Irrelevant")
@@ -67,10 +68,6 @@ class RocCurve:
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
-
-    @property
-    def points(self):
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def area(self) -> float:
         """Trapezoidal area under the curve."""
@@ -197,29 +194,30 @@ def write_roc_csv(curve: RocCurve, path) -> None:
     write_atomic(path, [text.encode("utf-8")])
 
 
-def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
+def write_roc_svg(curve: RocCurve, path) -> None:
     """Minimal SVG rendering: unit-square axes plus the ROC polyline."""
     margin = 40
-    span = size - 2 * margin
+    span = ROC_SVG_SIZE - 2 * margin
 
     # each takes a float or an array of them
     def sx(v):
         return margin + v * span
 
     def sy(v):
-        return size - margin - v * span
+        return ROC_SVG_SIZE - margin - v * span
 
     points = " ".join(
         map("{:.2f},{:.2f}".format, sx(curve.fpr).tolist(), sy(curve.tpr).tolist())
     )
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{ROC_SVG_SIZE}" height="{ROC_SVG_SIZE}">\n'
         f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
         f'fill="none" stroke="#999"/>\n'
         f'  <line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(1):.2f}" '
         f'stroke="#ccc" stroke-dasharray="4 4"/>\n'
         f'  <polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>\n'
-        f'  <text x="{sx(0.5):.2f}" y="{size - 10}" text-anchor="middle">'
+        f'  <text x="{sx(0.5):.2f}" y="{ROC_SVG_SIZE - 10}" text-anchor="middle">'
         f"false positive rate</text>\n"
         f'  <text x="12" y="{sy(0.5):.2f}" text-anchor="middle" '
         f'transform="rotate(-90 12 {sy(0.5):.2f})">true positive rate</text>\n'

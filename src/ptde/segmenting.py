@@ -1,54 +1,15 @@
-"""Segment planning and clip-feature aggregation.
+"""Clip-feature aggregation into segment embeddings.
 
-A video of T frames is cut into floor(T / L) contiguous, non-overlapping
-segments of exactly L frames; trailing T mod L frames are dropped. The
-external appearance extractor emits one feature vector per 16-frame clip,
-so a segment's embedding is the mean of its clips' L2-normalized features.
-Aggregation works on a whole video at once: a (segments, clips, dim) array
-gives one (segments, dim) array.
+The external appearance extractor emits one feature vector per 16-frame
+clip, so a segment's embedding is the mean of its clips' L2-normalized
+features (how a video is cut into segments is described on
+`ptde.data.VideoRecord`). Aggregation works on a whole video at once: a
+(segments, clips, dim) array gives one (segments, dim) array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySegment, EmptyVideo, NonFiniteInput
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Frame ranges covering one video at a fixed segment length."""
-
-    total_frames: int
-    segment_length: int
-
-    @property
-    def num_segments(self) -> int:
-        return self.total_frames // self.segment_length
-
-    @property
-    def dropped_tail(self) -> int:
-        return self.total_frames % self.segment_length
-
-    @property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        """[start, end) frame ranges, one per segment."""
-        length = self.segment_length
-        return tuple((i * length, (i + 1) * length) for i in range(self.num_segments))
-
-
-def plan_segments(total_frames: int, segment_length: int) -> SegmentPlan:
-    """Cut [0, total_frames) into floor(T/L) ranges of exactly L frames."""
-    if segment_length < 1:
-        raise ValueError(f"segment_length must be >= 1, got {segment_length}")
-    if total_frames < 0:
-        raise ValueError(f"total_frames must be >= 0, got {total_frames}")
-    if total_frames < segment_length:
-        raise EmptyVideo(
-            f"video of {total_frames} frames is shorter than one segment "
-            f"of {segment_length} frames"
-        )
-    return SegmentPlan(total_frames=total_frames, segment_length=segment_length)
+from .errors import DimensionMismatch, EmptySegment, NonFiniteInput
 
 
 # At or above this norm, a vector of fewer than 2**54 entries has a normal

@@ -18,6 +18,7 @@ from .fusion import FusionMode
 from .scoring import ScoringHead, backprop, init_head
 
 HISTORY_COLUMNS = ("total", "hinge", "smoothness", "sparsity")
+ADAGRAD_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class TrainConfig:
     lambda1: float = 8e-5
     lambda2: float = 8e-5
     seed: int = 0
-    adagrad_epsilon: float = 1e-8
     fusion_mode: FusionMode = FusionMode.GLOBAL_LOCAL_CONCAT
 
     def __post_init__(self):
@@ -42,8 +42,6 @@ class TrainConfig:
             )
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
-        if self.adagrad_epsilon <= 0:
-            raise ValueError("adagrad_epsilon must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -128,7 +126,7 @@ def train(dataset, config: TrainConfig) -> TrainRun:
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
         for g in grads.params():
             g /= pairs
-        adagrad_step(head, grads, sum_sq, config.learning_rate, config.adagrad_epsilon)
+        adagrad_step(head, grads, sum_sq, config.learning_rate, ADAGRAD_EPSILON)
 
     return TrainRun(head=head, history=history, config=replace(config))
 

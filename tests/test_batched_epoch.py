@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from ptde.data import VideoBag
 from ptde.errors import NonFiniteLoss
 from ptde.scoring import ScoringHead, backprop, init_head
-from ptde.trainer import HISTORY_COLUMNS, TrainConfig, adagrad_step, train
+from ptde.trainer import (
+    ADAGRAD_EPSILON,
+    HISTORY_COLUMNS,
+    TrainConfig,
+    adagrad_step,
+    train,
+)
 
 DIM = 5
 LAM1 = LAM2 = 8e-5
@@ -163,7 +169,7 @@ def per_pair_train(bags, config):
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
         mean = [g / config.pairs_per_epoch for g in grad_sum]
         params, sums = functional_adagrad(
-            params, mean, sums, config.learning_rate, config.adagrad_epsilon
+            params, mean, sums, config.learning_rate, ADAGRAD_EPSILON
         )
     return params, history
 

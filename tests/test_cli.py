@@ -68,6 +68,12 @@ class TestSynthCommand:
         assert code == 1
         assert "PTDE_SEED" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["synth", "--out-dir", str(blocker), "--seed", "4", *TINY]) == 2
+        assert f"error: cannot write dataset under {blocker}" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, dataset, checkpoint):
@@ -76,6 +82,32 @@ class TestTrainCommand:
         lines = log.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 5
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_test_video_without_segment_does_not_stop_training(
+        self, dataset, tmp_path, capsys
+    ):
+        # 1 clip = 16 frames, shorter than one 32-frame segment
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        write_feature_file(root / "short.ptdf", np.zeros((1, 8)))
+        raw = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        raw["videos"].append({
+            "id": "short", "split": "test", "category": "Pickup",
+            "feature_file": "short.ptdf",
+        })
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_manifest(manifest).record("short").num_segments == 0
+        ckpt = tmp_path / "m.ckpt"
+        assert main([
+            "train", "--manifest", str(manifest), "--out-checkpoint", str(ckpt),
+            "--epochs", "2", "--pairs-per-epoch", "2",
+        ]) == 0
+        capsys.readouterr()
+        # scoring the test split needs its bag, which has no segment
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "video of 16 frames is shorter than one segment of 32 frames" in err
 
     def test_missing_manifest_exits_2_and_names_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -344,22 +376,28 @@ class TestOutOfRangeJson:
         ])
 
     def _replace_first_pose_value(self, manifest, text):
+        """Edit the first video's pose document; returns its path."""
         raw = json.loads(manifest.read_text(encoding="utf-8"))
         pose = manifest.parent / raw["videos"][0]["pose_file"]
         doc = pose.read_text(encoding="utf-8")
         assert doc.startswith("[[[[")
         end = doc.index(",", 4)
         pose.write_text(doc[:4] + text + doc[end:], encoding="utf-8")
+        return pose
 
     def test_pose_integer_beyond_float64_exits_2(self, fresh, tmp_path, capsys):
-        self._replace_first_pose_value(fresh, "1" + "0" * 309)
+        pose = self._replace_first_pose_value(fresh, "1" + "0" * 309)
         assert self._train(fresh, tmp_path) == 2
-        assert "frame 0 person 0: non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "frame 0 person 0: non-finite" in err
+        assert f"error: {pose}: " in err
 
     def test_pose_integer_past_digit_limit_exits_2(self, fresh, tmp_path, capsys):
-        self._replace_first_pose_value(fresh, "9" * 5000)
+        pose = self._replace_first_pose_value(fresh, "9" * 5000)
         assert self._train(fresh, tmp_path) == 2
-        assert "invalid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err
+        assert f"error: {pose}: " in err
 
     def test_manifest_integer_past_digit_limit_exits_2(self, fresh, tmp_path, capsys):
         text = fresh.read_text(encoding="utf-8")
@@ -369,9 +407,11 @@ class TestOutOfRangeJson:
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_pose_nesting_past_the_stack_exits_2(self, fresh, tmp_path, capsys):
-        self._replace_first_pose_value(fresh, "[" * 100_000 + "]" * 100_000)
+        pose = self._replace_first_pose_value(fresh, "[" * 100_000 + "]" * 100_000)
         assert self._train(fresh, tmp_path) == 2
-        assert "invalid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err
+        assert f"error: {pose}: " in err
 
     @pytest.mark.parametrize("key", ["image_width", "image_height"])
     @pytest.mark.parametrize(

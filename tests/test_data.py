@@ -1,9 +1,13 @@
 import json
+import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptde.data import (
     CLIP_FRAMES,
@@ -185,9 +189,10 @@ class TestLoadManifest:
             load_manifest(path)
 
     def test_segment_length_not_multiple_of_clip(self, tmp_path):
-        path = make_dataset(tmp_path, [{"id": "a"}], segment_length=24)
-        with pytest.raises(ManifestSyntax, match="segment_length"):
-            load_manifest(path)
+        for segment_length in (24, 8, 0, -16):
+            path = make_dataset(tmp_path, [{"id": "a"}], segment_length=segment_length)
+            with pytest.raises(ManifestSyntax, match="segment_length"):
+                load_manifest(path)
 
     def test_duplicate_id(self, tmp_path):
         path = make_dataset(tmp_path, [{"id": "a"}])
@@ -220,6 +225,33 @@ class TestLoadManifest:
         )
         with pytest.raises(ManifestSyntax):
             load_manifest(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segment_length=st.sampled_from([16, 32, 48, 64]),
+        segments=st.integers(0, 5),
+        tail=st.integers(0, 3),
+    )
+    @example(segment_length=16, segments=3, tail=0)  # 48 frames, no tail
+    @example(segment_length=32, segments=3, tail=1)  # 112 frames, 16 dropped
+    @example(segment_length=64, segments=1, tail=0)  # exactly one segment
+    @example(segment_length=32, segments=0, tail=1)  # shorter than a segment
+    def test_segment_count_property(self, segment_length, segments, tail):
+        # floor(T / L) segments of T = clip_count * 16 frames; tail clips dropped
+        clips_per_segment = segment_length // CLIP_FRAMES
+        clip_count = segments * clips_per_segment + tail % clips_per_segment
+        with tempfile.TemporaryDirectory() as root:
+            path = make_dataset(
+                Path(root), [{"id": "a", "clip_count": clip_count}], segment_length
+            )
+            manifest = load_manifest(path)
+            rec = manifest.record("a")
+            assert rec.clip_count == clip_count
+            assert rec.num_segments == clip_count * CLIP_FRAMES // segment_length
+            assert rec.num_segments == segments
+            if segments:
+                bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
+                assert bag.embeddings.shape == (segments, DIM)
 
     @pytest.mark.parametrize(
         "annotations, expected",
@@ -289,10 +321,17 @@ class TestLoadVideoBag:
             load_video_bag(manifest, "a", FusionMode.GLOBAL_LOCAL_CONCAT)
 
     def test_video_shorter_than_segment(self, tmp_path):
-        path = make_dataset(tmp_path, [{"id": "a", "clip_count": 1}])
-        manifest = load_manifest(path)
-        with pytest.raises(EmptyVideo):
-            load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
+        # the manifest loads; only the bag load fails
+        for clip_count in (0, 1):
+            path = make_dataset(tmp_path, [{"id": "a", "clip_count": clip_count}])
+            manifest = load_manifest(path)
+            assert manifest.record("a").num_segments == 0
+            message = (
+                f"video of {clip_count * CLIP_FRAMES} frames is shorter than one "
+                f"segment of 32 frames"
+            )
+            with pytest.raises(EmptyVideo, match=re.escape(message)):
+                load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
 
     def test_unknown_video(self, tmp_path):
         path = make_dataset(tmp_path, [{"id": "a"}])

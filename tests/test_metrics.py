@@ -100,14 +100,14 @@ class TestAuc:
 class TestRocCurve:
     def test_perfect_separation_hits_corner(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert (0.0, 1.0) in curve.points
+        assert np.any((curve.fpr == 0.0) & (curve.tpr == 1.0))
 
     def test_endpoints(self):
         rng = np.random.default_rng(0)
         scores, labels = random_instance(rng, max_size=50)
         curve = roc_curve(scores, labels)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
         assert curve.thresholds[0] == np.inf
 
     def test_monotone_with_ties(self):
@@ -133,7 +133,8 @@ class TestRocCurve:
 
     def test_all_tied_scores(self):
         curve = roc_curve([0.4, 0.4, 0.4], [1, 0, 1])
-        assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
+        assert curve.fpr.tolist() == [0.0, 1.0]
+        assert curve.tpr.tolist() == [0.0, 1.0]
         assert curve.area() == 0.5
 
 
@@ -244,7 +245,7 @@ class TestExports:
         write_roc_csv(curve, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "threshold,fpr,tpr"
-        assert len(lines) == len(curve.points) + 1
+        assert len(lines) == curve.fpr.size + 1
         t, f, r = lines[-1].split(",")
         assert float(f) == 1.0 and float(r) == 1.0
 

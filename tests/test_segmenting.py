@@ -5,51 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptde.errors import DimensionMismatch, EmptySegment, EmptyVideo, NonFiniteInput
-from ptde.segmenting import aggregate_segment, l2_normalize, plan_segments
+from ptde.errors import DimensionMismatch, EmptySegment, NonFiniteInput
+from ptde.segmenting import aggregate_segment, l2_normalize
 
 finite_floats = st.floats(
     min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False
 )
-
-
-class TestPlanSegments:
-    def test_exact_division(self):
-        plan = plan_segments(48, 16)
-        assert plan.segments == ((0, 16), (16, 32), (32, 48))
-        assert plan.dropped_tail == 0
-
-    def test_floor_drops_tail(self):
-        plan = plan_segments(50, 16)
-        assert plan.num_segments == 3
-        assert plan.dropped_tail == 2
-        assert plan.segments[-1] == (32, 48)
-
-    def test_too_short_video(self):
-        with pytest.raises(EmptyVideo):
-            plan_segments(10, 16)
-
-    def test_single_segment_boundary(self):
-        plan = plan_segments(16, 16)
-        assert plan.segments == ((0, 16),)
-
-    def test_invalid_segment_length(self):
-        with pytest.raises(ValueError):
-            plan_segments(10, 0)
-
-    @given(st.integers(1, 10_000), st.data())
-    def test_coverage_property(self, total, data):
-        length = data.draw(st.integers(1, total))
-        plan = plan_segments(total, length)
-        assert plan.num_segments == total // length
-        assert plan.dropped_tail == total % length
-        # contiguous, non-overlapping, each exactly L frames, starting at 0
-        expected_start = 0
-        for start, end in plan.segments:
-            assert start == expected_start
-            assert end - start == length
-            expected_start = end
-        assert expected_start == (total // length) * length
 
 
 class TestL2Normalize:

@@ -12,6 +12,7 @@ from ptde.fusion import FusionMode
 from ptde.loss import ranking_satisfied
 from ptde.scoring import ScoringHead, score_segments
 from ptde.trainer import (
+    ADAGRAD_EPSILON,
     TrainConfig,
     adagrad_step,
     train,
@@ -131,7 +132,7 @@ class TestTrainConfig:
         assert config.epochs == 5000
         assert config.pairs_per_epoch == 30
         assert config.lambda1 == config.lambda2 == 8e-5
-        assert config.adagrad_epsilon == 1e-8
+        assert ADAGRAD_EPSILON == 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -140,7 +141,7 @@ class TestTrainConfig:
             {"epochs": 0},
             {"pairs_per_epoch": 0},
             {"lambda1": -1e-9},
-            {"adagrad_epsilon": 0.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs(self, kwargs):
