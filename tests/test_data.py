@@ -1,13 +1,10 @@
 import json
 import re
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ptde.data import (
     CLIP_FRAMES,
@@ -225,33 +222,6 @@ class TestLoadManifest:
         )
         with pytest.raises(ManifestSyntax):
             load_manifest(path)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        segment_length=st.sampled_from([16, 32, 48, 64]),
-        segments=st.integers(0, 5),
-        tail=st.integers(0, 3),
-    )
-    @example(segment_length=16, segments=3, tail=0)  # 48 frames, no tail
-    @example(segment_length=32, segments=3, tail=1)  # 112 frames, 16 dropped
-    @example(segment_length=64, segments=1, tail=0)  # exactly one segment
-    @example(segment_length=32, segments=0, tail=1)  # shorter than a segment
-    def test_segment_count_property(self, segment_length, segments, tail):
-        # floor(T / L) segments of T = clip_count * 16 frames; tail clips dropped
-        clips_per_segment = segment_length // CLIP_FRAMES
-        clip_count = segments * clips_per_segment + tail % clips_per_segment
-        with tempfile.TemporaryDirectory() as root:
-            path = make_dataset(
-                Path(root), [{"id": "a", "clip_count": clip_count}], segment_length
-            )
-            manifest = load_manifest(path)
-            rec = manifest.record("a")
-            assert rec.clip_count == clip_count
-            assert rec.num_segments == clip_count * CLIP_FRAMES // segment_length
-            assert rec.num_segments == segments
-            if segments:
-                bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
-                assert bag.embeddings.shape == (segments, DIM)
 
     @pytest.mark.parametrize(
         "annotations, expected",

@@ -21,14 +21,6 @@ class TestFuse:
         assert out.shape == (4150,)
         assert np.array_equal(out[:4096], appearance)
         assert np.array_equal(out[4096:], pose)
-        # the fused dimension is a function of the appearance dim and the mode
-        for dim, mode, expected in [
-            (4096, FusionMode.GLOBAL_ONLY, 4096),
-            (4096, FusionMode.GLOBAL_LOCAL_CONCAT, 4150),
-            (64, FusionMode.GLOBAL_LOCAL_CONCAT, 118),
-        ]:
-            local = np.zeros((3, 54)) if mode is FusionMode.GLOBAL_LOCAL_CONCAT else None
-            assert fuse(np.zeros((3, dim)), local, mode).shape == (3, expected)
 
     def test_positional_oracle(self):
         appearance = np.array([1.0, 2.0])
@@ -68,3 +60,17 @@ class TestFuse:
             assert not np.array_equal(out1, out2)
         else:
             assert np.array_equal(out1, out2)
+
+
+class TestFusedDim:
+    @pytest.mark.parametrize(
+        "dim,mode,expected",
+        [
+            (4096, FusionMode.GLOBAL_ONLY, 4096),
+            (4096, FusionMode.GLOBAL_LOCAL_CONCAT, 4150),
+            (64, FusionMode.GLOBAL_LOCAL_CONCAT, 118),
+        ],
+    )
+    def test_dim_is_function_of_mode(self, dim, mode, expected):
+        pose = np.zeros((3, 54)) if mode is FusionMode.GLOBAL_LOCAL_CONCAT else None
+        assert fuse(np.zeros((3, dim)), pose, mode).shape == (3, expected)

@@ -1,16 +1,121 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptde.errors import DimensionMismatch, EmptySegment, NonFiniteInput
+from ptde.data import CLIP_FRAMES, load_manifest, load_video_bag, write_feature_file
+from ptde.errors import (
+    DimensionMismatch,
+    EmptySegment,
+    EmptyVideo,
+    ManifestSyntax,
+    NonFiniteInput,
+)
+from ptde.fusion import FusionMode
 from ptde.segmenting import aggregate_segment, l2_normalize
 
 finite_floats = st.floats(
     min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False
 )
+
+
+def one_video(root, clip_count, segment_length):
+    """A one-video manifest; returns it loaded and the stored clips."""
+    clips = (
+        np.random.default_rng(clip_count)
+        .standard_normal((clip_count, 4))
+        .astype(np.float32)
+        .astype(np.float64)
+    )
+    write_feature_file(root / "a.ptdf", clips)
+    manifest = {
+        "name": "segments",
+        "feature_dim": 4,
+        "clip_length": CLIP_FRAMES,
+        "segment_length": segment_length,
+        "videos": [{
+            "id": "a", "split": "train", "category": "PackageTheft",
+            "feature_file": "a.ptdf",
+        }],
+    }
+    path = root / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return load_manifest(path), clips
+
+
+def segment_rows(manifest, clips):
+    """The bag's rows next to the segments [i * L, (i + 1) * L) aggregated one by one."""
+    bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
+    per = manifest.segment_length // CLIP_FRAMES
+    expected = [
+        aggregate_segment(clips[i * per:(i + 1) * per])
+        for i in range(manifest.record("a").num_segments)
+    ]
+    return bag.embeddings, np.array(expected).reshape(-1, clips.shape[1])
+
+
+class TestPlanSegments:
+    """floor(T / L) contiguous segments, read from VideoRecord.num_segments."""
+
+    def test_exact_division(self, tmp_path):
+        manifest, clips = one_video(tmp_path, 3, 16)  # 48 frames
+        assert manifest.record("a").num_segments == 3
+        rows, expected = segment_rows(manifest, clips)
+        assert rows.shape == (3, 4)
+        assert np.array_equal(rows, expected)
+
+    def test_floor_drops_tail(self, tmp_path):
+        manifest, clips = one_video(tmp_path, 7, 32)  # 112 frames, 16 dropped
+        assert manifest.record("a").num_segments == 3
+        rows, expected = segment_rows(manifest, clips)
+        assert np.array_equal(rows, expected)
+        # the last segment covers frames [64, 96): clips 4 and 5, not 6
+        assert np.array_equal(rows[-1], aggregate_segment(clips[4:6]))
+
+    def test_too_short_video(self, tmp_path):
+        manifest, _ = one_video(tmp_path, 1, 32)  # 16 frames
+        assert manifest.record("a").num_segments == 0
+        with pytest.raises(EmptyVideo):
+            load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
+
+    def test_single_segment_boundary(self, tmp_path):
+        manifest, clips = one_video(tmp_path, 2, 32)  # T == L
+        assert manifest.record("a").num_segments == 1
+        rows, expected = segment_rows(manifest, clips)
+        assert rows.shape == (1, 4)
+        assert np.array_equal(rows, expected)
+
+    def test_invalid_segment_length(self, tmp_path):
+        for segment_length in (0, -16):
+            with pytest.raises(ManifestSyntax, match="segment_length"):
+                one_video(tmp_path, 3, segment_length)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segment_length=st.sampled_from([16, 32, 48, 64]),
+        segments=st.integers(0, 5),
+        tail=st.integers(0, 3),
+    )
+    @example(segment_length=32, segments=0, tail=1)  # shorter than a segment
+    def test_coverage_property(self, segment_length, segments, tail):
+        clips_per_segment = segment_length // CLIP_FRAMES
+        clip_count = segments * clips_per_segment + tail % clips_per_segment
+        with tempfile.TemporaryDirectory() as root:
+            manifest, clips = one_video(Path(root), clip_count, segment_length)
+            rec = manifest.record("a")
+            assert rec.clip_count == clip_count
+            assert rec.num_segments == clip_count * CLIP_FRAMES // segment_length
+            assert rec.num_segments == segments
+            if segments:
+                # contiguous, non-overlapping, each exactly L frames, from frame 0
+                rows, expected = segment_rows(manifest, clips)
+                assert rows.shape == (segments, 4)
+                assert np.array_equal(rows, expected)
 
 
 class TestL2Normalize:
