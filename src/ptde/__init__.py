@@ -29,10 +29,8 @@ from .loss import (
 )
 from .metrics import (
     DEFAULT_THRESHOLD,
-    EvalReport,
     RocCurve,
     ScoredSplit,
-    apply_threshold,
     auc,
     per_category_eval,
     roc_curve,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckpointMeta",
     "DEFAULT_THRESHOLD",
-    "EvalReport",
     "FusionMode",
     "LossBreakdown",
     "Manifest",
@@ -68,7 +65,6 @@ __all__ = [
     "VideoRecord",
     "adagrad_step",
     "aggregate_segment",
-    "apply_threshold",
     "auc",
     "backprop",
     "fuse",

@@ -61,9 +61,10 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     """Score every test-split segment into one ScoredSplit, in manifest order.
 
     Each video is scored by its own `score_segments` call into its slice,
-    sized from the record's segment count. Labels and categories come
-    from the manifest records. Theft videos must carry segment-level
-    annotations; normal videos are all-negative by definition.
+    sized from the record's segment count; a video with no segment adds no
+    row, and its bag is not loaded. Labels and categories come from the
+    manifest records. Theft videos must carry segment-level annotations;
+    normal videos are all-negative by definition.
     """
     records = manifest.split_records("test")
     counts = [rec.num_segments for rec in records]
@@ -71,6 +72,8 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     scores = np.empty(offsets[-1], dtype=np.float64)
     labels = np.zeros(offsets[-1], dtype=np.int64)
     for rec, start, stop in zip(records, offsets[:-1], offsets[1:]):
+        if start == stop:
+            continue
         bag = load_video_bag(manifest, rec.video_id, fusion_mode)
         scores[start:stop] = score_segments(head, bag.embeddings)
         if rec.is_positive:
@@ -153,7 +156,7 @@ def _cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     segments = scored_test_segments(manifest, head, meta.fusion_mode)
     report = per_category_eval(segments, threshold=args.threshold)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -1,9 +1,10 @@
 """ROC/AUC evaluation, per-category comparison, and threshold detection.
 
 AUC is the probability that a uniformly random positive segment outscores a
-uniformly random negative one, ties counting one half. That definition and
-the trapezoidal area under the threshold-sweep ROC curve agree exactly, so
-either view can be checked against the other. Evaluation takes only a
+uniformly random negative one, ties counting one half. One descending
+threshold sweep gives it exactly: with P positives, N negatives and integer
+counts tps/fps at each step, AUC = sum(diff(fps) * (tps[1:] + tps[:-1]))
+/ (2·P·N), the area under the ROC curve. Evaluation takes only a
 ScoredSplit: flat arrays of scores, theft labels and category codes with
 per-video offsets.
 """
@@ -40,68 +41,62 @@ def _validate_scores_labels(scores, labels):
     return scores, labels
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank.
-
-    -0.0 and 0.0 tie, and so do all NaNs, which rank above every number.
-    """
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    # a group of c equal scores ending at 1-based rank r averages r - (c - 1) / 2
-    return (np.cumsum(counts) - (counts - 1) / 2)[group.reshape(-1)]
-
-
-def auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative, ties = 1/2."""
-    scores, labels = _validate_scores_labels(scores, labels)
-    ranks = _average_ranks(scores)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    # rank-sum identity: wins + ties/2, exactly, including the tie halves
-    u = float(ranks[labels == 1].sum()) - 0.5 * n_pos * (n_pos + 1)
-    return u / (n_pos * n_neg)
-
-
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold sweep from (0, 0) to (1, 1); a point = scores >= threshold."""
+    """Threshold sweep from (0, 0) to (1, 1); a point = scores >= threshold.
 
-    thresholds: np.ndarray
-    fpr: np.ndarray
-    tpr: np.ndarray
+    `tps` and `fps` count the theft and normal segments at or above each
+    threshold; the +inf sentinel admits none.
+    """
+
+    thresholds: np.ndarray  # (K + 1,) float64, descending
+    tps: np.ndarray  # (K + 1,) int64
+    fps: np.ndarray  # (K + 1,) int64
+
+    @property
+    def fpr(self) -> np.ndarray:
+        return self.fps / self.fps[-1]
+
+    @property
+    def tpr(self) -> np.ndarray:
+        return self.tps / self.tps[-1]
 
     def area(self) -> float:
-        """Trapezoidal area under the curve."""
-        df = self.fpr[1:] - self.fpr[:-1]
-        mid = 0.5 * (self.tpr[1:] + self.tpr[:-1])
-        return float(np.sum(df * mid))
+        """Exact area: the trapezoids' doubled integer sum over 2·P·N."""
+        twice_u = np.sum(np.diff(self.fps) * (self.tps[1:] + self.tps[:-1]))
+        return int(twice_u) / (2 * int(self.tps[-1]) * int(self.fps[-1]))
 
 
 def roc_curve(scores, labels) -> RocCurve:
     """Sweep thresholds over the distinct score values, descending.
 
-    The +inf sentinel gives the (0, 0) endpoint; the lowest distinct score
-    admits every segment and lands exactly on (1, 1).
+    Each step is one run of equal scores: -0.0 ties 0.0, and all NaNs tie
+    in the first step, above every number. The +inf sentinel gives the
+    (0, 0) endpoint; the lowest step admits every segment and lands
+    exactly on (1, 1).
     """
     scores, labels = _validate_scores_labels(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
+    # ties merge into one step, so the order within a run does not matter
+    order = np.argsort(scores)[::-1]
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # last index of each distinct-score run
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    boundaries = np.concatenate([distinct, [scores.size - 1]])
-    tps = np.cumsum(sorted_labels)[boundaries]
-    fps = boundaries + 1 - tps
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    thresholds = np.concatenate([[np.inf], sorted_scores[boundaries]])
-    tpr = np.concatenate([[0.0], tps / n_pos])
-    fpr = np.concatenate([[0.0], fps / n_neg])
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
+    after = sorted_scores[1:]
+    # last index of each step
+    boundaries = np.flatnonzero((sorted_scores[:-1] != after) & ~np.isnan(after))
+    boundaries = np.append(boundaries, scores.size - 1)
+    tps = np.cumsum(labels[order])[boundaries]
+    return RocCurve(
+        thresholds=np.concatenate([[np.inf], sorted_scores[boundaries]]),
+        tps=np.concatenate([[0], tps]),
+        fps=np.concatenate([[0], boundaries + 1 - tps]),
+    )
 
 
-def apply_threshold(scores, threshold: float) -> np.ndarray:
-    """Detection flags: score strictly greater than the threshold."""
-    return np.asarray(scores, dtype=np.float64) > threshold
+def auc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative, ties = 1/2.
+
+    It is the exact area under `roc_curve(scores, labels)`.
+    """
+    return roc_curve(scores, labels).area()
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,37 +117,15 @@ class ScoredSplit:
         return self.scores.size
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    overall_auc: float
-    per_category_auc: dict[str, float]
-    threshold: float
-    segment_count: int
-    detections_total: int
-    detections_theft: int
-    detections_normal: int
+def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOLD) -> dict:
+    """The report `ptde eval` prints: AUCs, threshold and detection counts.
 
-    def to_dict(self) -> dict:
-        return {
-            "overall_auc": self.overall_auc,
-            "per_category_auc": dict(self.per_category_auc),
-            "threshold": self.threshold,
-            "segment_count": self.segment_count,
-            "detections": {
-                "total": self.detections_total,
-                "theft_segments": self.detections_theft,
-                "normal_segments": self.detections_normal,
-            },
-        }
-
-
-def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
-    """Overall AUC plus one AUC per normal category against theft segments.
-
+    Overall AUC plus one AUC per normal category against theft segments.
     Category AUCs compare theft-annotated segments with the segments of
     videos in that category alone, in split order; categories without
     segments are simply absent from the map. Non-theft segments of theft
-    videos count only in the overall AUC.
+    videos count only in the overall AUC. A segment is detected when its
+    score is strictly above the threshold.
     """
     scores, labels = segments.scores, segments.labels
     overall = auc(scores, labels)
@@ -171,16 +144,18 @@ def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOL
         )
         per_category[category] = auc(merged, merged_labels)
 
-    flags = apply_threshold(scores, threshold)
-    return EvalReport(
-        overall_auc=overall,
-        per_category_auc=per_category,
-        threshold=threshold,
-        segment_count=len(segments),
-        detections_total=int(flags.sum()),
-        detections_theft=int(flags[theft].sum()),
-        detections_normal=int(flags[~theft].sum()),
-    )
+    flags = scores > threshold
+    return {
+        "overall_auc": overall,
+        "per_category_auc": per_category,
+        "threshold": threshold,
+        "segment_count": len(segments),
+        "detections": {
+            "total": int(flags.sum()),
+            "theft_segments": int(flags[theft].sum()),
+            "normal_segments": int(flags[~theft].sum()),
+        },
+    }
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

@@ -4,8 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
-from ptde.cli import main
+from ptde.cli import main, scored_test_segments
 from ptde.data import (
+    load_checkpoint,
     load_manifest,
     read_feature_file,
     read_feature_header,
@@ -13,7 +14,7 @@ from ptde.data import (
     write_feature_file,
 )
 from ptde.fusion import FusionMode
-from ptde.metrics import NORMAL_CATEGORIES
+from ptde.metrics import NORMAL_CATEGORIES, per_category_eval, roc_curve
 from ptde.scoring import init_head
 from ptde.trainer import TrainConfig
 
@@ -84,7 +85,7 @@ class TestTrainCommand:
         assert all(len(line.split("\t")) == 5 for line in lines)
 
     def test_test_video_without_segment_does_not_stop_training(
-        self, dataset, tmp_path, capsys
+        self, dataset, checkpoint, tmp_path, capsys
     ):
         # 1 clip = 16 frames, shorter than one 32-frame segment
         root = tmp_path / "data"
@@ -103,9 +104,21 @@ class TestTrainCommand:
             "train", "--manifest", str(manifest), "--out-checkpoint", str(ckpt),
             "--epochs", "2", "--pairs-per-epoch", "2",
         ]) == 0
+        # the video adds no row: the report is the one without it
         capsys.readouterr()
-        # scoring the test split needs its bag, which has no segment
-        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 2
+        assert main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(dataset)]) == 0
+        without = capsys.readouterr().out
+        assert main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == without
+        assert main([
+            "roc", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+            "--out-csv", str(tmp_path / "roc.csv"),
+        ]) == 0
+        # a command that needs the video's own bag still stops
+        assert main([
+            "score", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+            "--video-id", "short",
+        ]) == 2
         err = capsys.readouterr().err
         assert "video of 16 frames is shorter than one segment of 32 frames" in err
 
@@ -191,8 +204,14 @@ class TestRocCommand:
         roc_out = capsys.readouterr().out
         main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(dataset)])
         report = json.loads(capsys.readouterr().out)
-        area = float(roc_out.split()[1])
-        assert abs(area - report["overall_auc"]) < 1e-6
+        assert roc_out.strip() == f"auc {report['overall_auc']:.6f}"
+        head, meta = load_checkpoint(checkpoint)
+        split = scored_test_segments(load_manifest(dataset), head, meta.fusion_mode)
+        assert (
+            roc_curve(split.scores, split.labels).area()
+            == per_category_eval(split)["overall_auc"]
+            == report["overall_auc"]
+        )
 
 
 class TestEvalErrors:

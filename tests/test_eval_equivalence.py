@@ -2,13 +2,16 @@
 
 The oracle is a test-local copy of the earlier code: `scored_test_segments`
 built one ScoredSegment-like object per segment, `per_category_eval`
-scanned that list once per category, and the ROC writers formatted one
-numpy scalar at a time. `ptde eval` stdout and the `ptde roc` CSV/SVG bytes
-must be identical to what that code produced.
+scanned that list once per category, `auc` summed average ranks,
+`roc_curve` swept a stable sort and took a float trapezoid for its area,
+and the ROC writers formatted one numpy scalar at a time. `ptde eval`
+stdout and the `ptde roc` CSV/SVG bytes must be identical to what that
+code produced.
 """
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,9 +32,7 @@ from ptde.metrics import (
     CATEGORIES,
     DEFAULT_THRESHOLD,
     NORMAL_CATEGORIES,
-    EvalReport,
     ScoredSplit,
-    apply_threshold,
     auc,
     per_category_eval,
     roc_curve,
@@ -59,6 +60,47 @@ class _Segment:
     category: str
 
 
+def old_auc(scores, labels):
+    """Rank-sum AUC over average ranks; NaNs tie, above every number."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group.reshape(-1)]
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    u = float(ranks[labels == 1].sum()) - 0.5 * n_pos * (n_pos + 1)
+    return u / (n_pos * n_neg)
+
+
+class OldRocCurve(NamedTuple):
+    thresholds: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
+
+    def area(self):
+        df = self.fpr[1:] - self.fpr[:-1]
+        mid = 0.5 * (self.tpr[1:] + self.tpr[:-1])
+        return float(np.sum(df * mid))
+
+
+def old_roc_curve(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    distinct = np.nonzero(np.diff(sorted_scores))[0]
+    boundaries = np.concatenate([distinct, [scores.size - 1]])
+    tps = np.cumsum(labels[order])[boundaries]
+    fps = boundaries + 1 - tps
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    return OldRocCurve(
+        thresholds=np.concatenate([[np.inf], sorted_scores[boundaries]]),
+        fpr=np.concatenate([[0.0], fps / n_neg]),
+        tpr=np.concatenate([[0.0], tps / n_pos]),
+    )
+
+
 def old_scored_test_segments(manifest, head, fusion_mode):
     segments = []
     for rec in manifest.split_records("test"):
@@ -83,7 +125,7 @@ def old_per_category_eval(segments, threshold=DEFAULT_THRESHOLD):
     segments = list(segments)
     scores = np.array([s.score for s in segments], dtype=np.float64)
     labels = np.array([1 if s.is_theft else 0 for s in segments], dtype=np.int64)
-    overall = auc(scores, labels)
+    overall = old_auc(scores, labels)
 
     theft_scores = scores[labels == 1]
     per_category = {}
@@ -98,18 +140,20 @@ def old_per_category_eval(segments, threshold=DEFAULT_THRESHOLD):
             [np.ones(theft_scores.size, dtype=np.int64),
              np.zeros(cat_scores.size, dtype=np.int64)]
         )
-        per_category[category] = auc(merged, merged_labels)
+        per_category[category] = old_auc(merged, merged_labels)
 
-    flags = apply_threshold(scores, threshold)
-    return EvalReport(
-        overall_auc=overall,
-        per_category_auc=per_category,
-        threshold=threshold,
-        segment_count=len(segments),
-        detections_total=int(flags.sum()),
-        detections_theft=int(flags[labels == 1].sum()),
-        detections_normal=int(flags[labels == 0].sum()),
-    )
+    flags = scores > threshold
+    return {
+        "overall_auc": overall,
+        "per_category_auc": per_category,
+        "threshold": threshold,
+        "segment_count": len(segments),
+        "detections": {
+            "total": int(flags.sum()),
+            "theft_segments": int(flags[labels == 1].sum()),
+            "normal_segments": int(flags[labels == 0].sum()),
+        },
+    }
 
 
 def old_roc_csv(curve) -> bytes:
@@ -152,11 +196,11 @@ def old_outputs(manifest_path, checkpoint):
         load_manifest(manifest_path), head, meta.fusion_mode
     )
     report = old_per_category_eval(segments)
-    curve = roc_curve(
+    curve = old_roc_curve(
         [s.score for s in segments], [1 if s.is_theft else 0 for s in segments]
     )
     return (
-        json.dumps(report.to_dict(), indent=2) + "\n",
+        json.dumps(report, indent=2) + "\n",
         f"auc {curve.area():.6f}\n",
         old_roc_csv(curve),
         old_roc_svg(curve),
@@ -299,5 +343,61 @@ def test_per_category_eval_identical(rows, extra, threshold):
         ),
         offsets=np.array([0, len(rows)], dtype=np.int64),
     )
-    expected = json.dumps(old_per_category_eval(segments, threshold).to_dict())
-    assert json.dumps(per_category_eval(split, threshold).to_dict()) == expected
+    expected = json.dumps(old_per_category_eval(segments, threshold))
+    assert json.dumps(per_category_eval(split, threshold)) == expected
+
+
+# ---------------------------------------------- one sweep for every AUC
+
+# a small value set forces ties; 0.0 and 1.0 are saturated sigmoid outputs
+TIED = [-0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+tied_rows = st.lists(
+    st.tuples(st.sampled_from(TIED), st.booleans()), min_size=0, max_size=300
+)
+
+
+def assert_same_as_old(scores, labels):
+    curve, old = roc_curve(scores, labels), old_roc_curve(scores, labels)
+    assert np.array_equal(curve.thresholds, old.thresholds)
+    assert np.array_equal(curve.fpr, old.fpr)
+    assert np.array_equal(curve.tpr, old.tpr)
+    # exact, where the trapezoid is only within rounding of it
+    assert curve.area() == auc(scores, labels) == old_auc(scores, labels)
+    assert abs(curve.area() - old.area()) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rows, st.one_of(st.sampled_from(TIED), st.floats(0, 1)))
+def test_auc_and_curve_match_rank_sum_and_trapezoid(rows, extra):
+    rows = rows + [(extra, True), (extra, False)]
+    assert_same_as_old([s for s, _ in rows], [int(t) for _, t in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled, score_values)
+def test_auc_and_curve_match_on_any_finite_scores(rows, extra):
+    rows = rows + [(extra, True), (extra, False)]
+    assert_same_as_old([s for s, _ in rows], [int(t) for _, t in rows])
+
+
+def test_auc_and_curve_match_at_1e5_rows():
+    rng = np.random.default_rng(12)
+    n = 100_000
+    # a 1/1024 grid ties most scores; a tenth saturate at 0.0 or 1.0
+    scores = np.round(rng.random(n) * 1024) / 1024
+    saturated = rng.random(n) < 0.1
+    scores[saturated] = rng.integers(0, 2, size=int(saturated.sum()))
+    labels = (rng.random(n) < scores * 0.5 + 0.1).astype(np.int64)
+    assert_same_as_old(scores, labels)
+
+
+def test_nans_tie_in_the_first_step():
+    scores = [np.nan, 0.5, np.nan, 0.1]
+    labels = [1, 1, 0, 0]
+    # NaN vs NaN ties, NaN beats 0.1, 0.5 loses to NaN and beats 0.1
+    assert auc(scores, labels) == old_auc(scores, labels) == 2.5 / 4
+    curve = roc_curve(scores, labels)
+    assert np.array_equal(curve.thresholds, [np.inf, np.nan, 0.5, 0.1], equal_nan=True)
+    assert curve.tps.tolist() == [0, 1, 2, 2]
+    assert curve.fps.tolist() == [0, 1, 1, 2]
+    assert curve.area() == 2.5 / 4

@@ -11,7 +11,6 @@ from ptde.metrics import (
     DEFAULT_THRESHOLD,
     NORMAL_CATEGORIES,
     ScoredSplit,
-    apply_threshold,
     auc,
     per_category_eval,
     roc_curve,
@@ -123,7 +122,7 @@ class TestRocCurve:
         for _ in range(50):
             scores, labels = random_instance(rng)
             curve = roc_curve(scores, labels)
-            assert abs(curve.area() - auc(scores, labels)) <= 1e-12
+            assert curve.area() == auc(scores, labels)
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(7)
@@ -136,18 +135,6 @@ class TestRocCurve:
         assert curve.fpr.tolist() == [0.0, 1.0]
         assert curve.tpr.tolist() == [0.0, 1.0]
         assert curve.area() == 0.5
-
-
-class TestApplyThreshold:
-    def test_strict_boundary(self):
-        out = apply_threshold([0.1, 0.2, 0.3], 0.2)
-        assert out.tolist() == [False, False, True]
-
-    def test_empty(self):
-        assert apply_threshold([], 0.2).tolist() == []
-
-    def test_all_above(self):
-        assert apply_threshold([0.5, 0.9], 0.1).tolist() == [True, True]
 
 
 class Segment(NamedTuple):
@@ -166,6 +153,36 @@ def split(segments):
     )
 
 
+class TestApplyThreshold:
+    """A segment is detected when its score is strictly above the threshold."""
+
+    def test_strict_boundary(self):
+        segments = [
+            Segment(0.1, False, "Pickup"),
+            Segment(0.2, True, "PackageTheft"),  # exactly at threshold
+            Segment(0.3, False, "Delivery"),
+        ]
+        report = per_category_eval(split(segments), threshold=0.2)
+        assert report["detections"] == {
+            "total": 1, "theft_segments": 0, "normal_segments": 1,
+        }
+
+    def test_empty(self):
+        segments = [Segment(0.5, True, "PackageTheft"), Segment(0.1, False, "Pickup")]
+        # every score below the threshold: no detection
+        report = per_category_eval(split(segments), threshold=0.9)
+        assert report["detections"] == {
+            "total": 0, "theft_segments": 0, "normal_segments": 0,
+        }
+
+    def test_all_above(self):
+        segments = [Segment(0.5, False, "Irrelevant"), Segment(0.9, True, "PackageTheft")]
+        report = per_category_eval(split(segments), threshold=0.1)
+        assert report["detections"] == {
+            "total": 2, "theft_segments": 1, "normal_segments": 1,
+        }
+
+
 class TestPerCategoryEval:
     def test_single_category_present(self):
         segments = [
@@ -173,16 +190,16 @@ class TestPerCategoryEval:
             Segment(0.1, False, "Delivery"),
         ]
         report = per_category_eval(split(segments))
-        assert set(report.per_category_auc) == {"Delivery"}
+        assert set(report["per_category_auc"]) == {"Delivery"}
 
     def test_perfect_scores_give_ones(self):
         segments = [Segment(1.0, True, "PackageTheft")]
         for cat in NORMAL_CATEGORIES:
             segments += [Segment(0.0, False, cat)] * 3
         report = per_category_eval(split(segments))
-        assert report.overall_auc == 1.0
-        assert set(report.per_category_auc) == set(NORMAL_CATEGORIES)
-        assert all(v == 1.0 for v in report.per_category_auc.values())
+        assert report["overall_auc"] == 1.0
+        assert set(report["per_category_auc"]) == set(NORMAL_CATEGORIES)
+        assert all(v == 1.0 for v in report["per_category_auc"].values())
 
     def test_against_restricted_oracle(self):
         rng = np.random.default_rng(11)
@@ -200,10 +217,10 @@ class TestPerCategoryEval:
                 np.array(theft_scores + cat_scores),
                 np.array([1] * len(theft_scores) + [0] * len(cat_scores)),
             )
-            assert abs(report.per_category_auc[cat] - expected) <= 1e-12
+            assert abs(report["per_category_auc"][cat] - expected) <= 1e-12
         all_scores = [s.score for s in segments]
         all_labels = [1 if s.is_theft else 0 for s in segments]
-        assert abs(report.overall_auc - pairwise_auc(np.array(all_scores), np.array(all_labels))) <= 1e-12
+        assert abs(report["overall_auc"] - pairwise_auc(np.array(all_scores), np.array(all_labels))) <= 1e-12
 
     def test_no_theft_segments_is_fatal(self):
         segments = [Segment(0.5, False, "Pickup"), Segment(0.2, False, "Delivery")]
@@ -218,24 +235,25 @@ class TestPerCategoryEval:
             Segment(0.05, False, "Delivery"),
         ]
         report = per_category_eval(split(segments), threshold=0.2)
-        assert report.threshold == 0.2
-        assert report.segment_count == 4
-        assert report.detections_total == 2
-        assert report.detections_theft == 1
-        assert report.detections_normal == 1
+        assert report["threshold"] == 0.2
+        assert report["segment_count"] == 4
+        assert report["detections"] == {
+            "total": 2, "theft_segments": 1, "normal_segments": 1,
+        }
 
     def test_report_dict_shape(self):
         segments = [
             Segment(0.9, True, "PackageTheft"),
             Segment(0.1, False, "Irrelevant"),
         ]
-        d = per_category_eval(split(segments)).to_dict()
+        d = per_category_eval(split(segments))
         assert d["threshold"] == DEFAULT_THRESHOLD
-        assert set(d) == {
+        # `ptde eval` prints the keys in this order
+        assert list(d) == [
             "overall_auc", "per_category_auc", "threshold",
             "segment_count", "detections",
-        }
-        assert set(d["detections"]) == {"total", "theft_segments", "normal_segments"}
+        ]
+        assert list(d["detections"]) == ["total", "theft_segments", "normal_segments"]
 
 
 class TestExports:
