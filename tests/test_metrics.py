@@ -267,6 +267,29 @@ class TestExports:
         t, f, r = lines[-1].split(",")
         assert float(f) == 1.0 and float(r) == 1.0
 
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            # tied scores, -0.0 tying 0.0
+            ([0.5, 0.5, 0.0, -0.0, 0.5, 0.0, 1.0, 1.0], [1, 0, 1, 0, 0, 0, 1, 0]),
+            # a single positive
+            ([0.3, 0.9, 0.1, 0.7, 0.2], [0, 0, 0, 1, 0]),
+            # about 10^4 curve points
+            (
+                np.random.default_rng(7).random(10_000),
+                (np.random.default_rng(8).random(10_000) < 0.2).astype(int),
+            ),
+        ],
+    )
+    def test_csv_matches_per_value_writer(self, tmp_path, scores, labels):
+        curve = roc_curve(scores, labels)
+        path = tmp_path / "roc.csv"
+        write_roc_csv(curve, path)
+        # the writer it replaced: `repr` of every value of every column
+        columns = (map(repr, c.tolist()) for c in (curve.thresholds, curve.fpr, curve.tpr))
+        text = "threshold,fpr,tpr\n" + "\n".join(map(",".join, zip(*columns))) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+
     def test_svg(self, tmp_path):
         curve = roc_curve([0.9, 0.5, 0.1], [1, 0, 0])
         path = tmp_path / "roc.svg"

@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ptde import synth
 from ptde.data import load_manifest, load_split_bags, load_video_bag
 from ptde.fusion import FusionMode
+from ptde.pose import JOINT_COUNT, parse_pose_document
 from ptde.synth import SynthSpec, generate_synthetic
 
 SMALL_COUNTS = dict(
@@ -23,6 +29,78 @@ def tree_bytes(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def oracle_pose_document_json(rng, num_frames, width, height):
+    """The per-joint f-string writer that `synth._pose_document_json` replaced."""
+    scale = float(rng.uniform(0.35, 0.55)) * height
+    cx = float(rng.uniform(0.3, 0.7)) * width
+    cy = float(rng.uniform(0.2, 0.4)) * height
+    steps = rng.normal(0.0, (2.0, 1.0), size=(num_frames, 2))
+    centers = np.empty((num_frames, 2))
+    for i in range(num_frames):
+        cx = min(max(cx + steps[i, 0], 0.25 * width), 0.75 * width)
+        cy = min(max(cy + steps[i, 1], 0.15 * height), 0.45 * height)
+        centers[i] = (cx, cy)
+    jitter = rng.normal(0.0, 0.01, size=(num_frames, JOINT_COUNT, 2))
+    pts = (synth._SKELETON[None] + jitter) * scale + centers[:, None, :]
+    np.clip(pts[..., 0], 0.0, width, out=pts[..., 0])
+    np.clip(pts[..., 1], 0.0, height, out=pts[..., 1])
+    xy = np.rint(pts).astype(np.int64)
+    conf = rng.integers(300, 1000, size=(num_frames, JOINT_COUNT))
+    frames = []
+    for f in range(num_frames):
+        person = ",".join(
+            f"[{xy[f, j, 0]},{xy[f, j, 1]},0.{conf[f, j]:03d}]"
+            for j in range(JOINT_COUNT)
+        )
+        frames.append(f"[[{person}]]")
+    return "[" + ",".join(frames) + "]"
+
+
+class TestPoseDocument:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_frames=st.integers(0, 1100),
+        width=st.integers(1, 5000),
+        height=st.integers(1, 5000),
+    )
+    @example(seed=0, num_frames=0, width=320, height=240)
+    @example(seed=1, num_frames=1, width=1, height=1)
+    @example(seed=2, num_frames=1100, width=5000, height=5000)
+    def test_matches_per_joint_writer(self, seed, num_frames, width, height):
+        expected = oracle_pose_document_json(
+            np.random.default_rng(seed), num_frames, width, height
+        )
+        doc = synth._pose_document_json(
+            np.random.default_rng(seed), num_frames, width, height
+        )
+        assert doc == expected
+
+        # the parser reads back the oracle's integer pixels and 0.ccc confidences
+        values = np.array(json.loads(expected), dtype=np.float64).reshape(
+            num_frames, 1, JOINT_COUNT, 3
+        )
+        np.testing.assert_array_equal(parse_pose_document(doc), values)
+        coords, conf = values[..., :2], values[..., 2]
+        np.testing.assert_array_equal(coords, np.rint(coords))
+        assert np.all((coords[..., 0] <= width) & (coords[..., 1] <= height))
+        millis = np.rint(conf * 1000)
+        np.testing.assert_array_equal(conf, millis / 1000)
+        assert np.all((millis >= 300) & (millis <= 999))
+
+    def test_tree_matches_per_joint_writer(self, tmp_path, monkeypatch):
+        generate_synthetic(small_spec(), tmp_path / "new")
+        monkeypatch.setattr(synth, "_pose_document_json", oracle_pose_document_json)
+        generate_synthetic(small_spec(), tmp_path / "old")
+        new, old = tree_bytes(tmp_path / "new"), tree_bytes(tmp_path / "old")
+        assert new == old
+        # atomic writes leave no temporary file beside the dataset's own
+        manifest = json.loads(new["manifest.json"])
+        assert set(new) == {"manifest.json"} | {
+            v[key] for v in manifest["videos"] for key in ("feature_file", "pose_file")
+        }
 
 
 class TestSpecValidation:
