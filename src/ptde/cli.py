@@ -7,12 +7,15 @@ then 0.
 
 import argparse
 import json
+import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    SPLITS,
     load_checkpoint,
     load_manifest,
     load_split_bags,
@@ -24,6 +27,7 @@ from .fusion import FusionMode
 from .metrics import (
     CATEGORIES,
     DEFAULT_THRESHOLD,
+    THEFT_CATEGORY,
     ScoredSplit,
     per_category_eval,
     roc_curve,
@@ -89,7 +93,15 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     return ScoredSplit(scores, labels, categories, offsets)
 
 
+# each category's word in the video-count flags, as in --train-theft
+_COUNT_WORDS = {c: "theft" if c == THEFT_CATEGORY else c.lower() for c in CATEGORIES}
+
+
 def _cmd_synth(args) -> int:
+    train_counts, test_counts = (
+        {c: getattr(args, f"{split}_{_COUNT_WORDS[c]}") for c in CATEGORIES}
+        for split in SPLITS
+    )
     spec = SynthSpec(
         seed=_resolve_seed(args.seed),
         name=args.name,
@@ -100,18 +112,8 @@ def _cmd_synth(args) -> int:
         class_separation=args.separation,
         noise_scale=args.noise,
         theft_fraction=args.theft_fraction,
-        train_counts={
-            "PackageTheft": args.train_theft,
-            "Pickup": args.train_pickup,
-            "Delivery": args.train_delivery,
-            "Irrelevant": args.train_irrelevant,
-        },
-        test_counts={
-            "PackageTheft": args.test_theft,
-            "Pickup": args.test_pickup,
-            "Delivery": args.test_delivery,
-            "Irrelevant": args.test_irrelevant,
-        },
+        train_counts=train_counts,
+        test_counts=test_counts,
     )
     manifest_path = generate_synthetic(spec, args.out_dir)
     print(manifest_path)
@@ -119,7 +121,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    manifest = load_manifest(args.manifest)
     fusion = FusionMode(args.fusion)
     config = TrainConfig(
         learning_rate=args.lr,
@@ -130,10 +131,15 @@ def _cmd_train(args) -> int:
         seed=_resolve_seed(args.seed),
         fusion_mode=fusion,
     )
+    log_path = args.out_log if args.out_log else f"{args.out_checkpoint}.log"
+    if Path(log_path).resolve() == Path(args.out_checkpoint).resolve():
+        raise _UsageError(
+            f"--out-log and --out-checkpoint name the same file {args.out_checkpoint}"
+        )
+    manifest = load_manifest(args.manifest)
     bags = load_split_bags(manifest, "train", fusion)
     run = train(bags, config)
     save_checkpoint(run.head, config, args.out_checkpoint)
-    log_path = args.out_log if args.out_log else f"{args.out_checkpoint}.log"
     write_run_log(run, log_path)
     print(
         f"trained {config.epochs} epochs, final objective "
@@ -152,6 +158,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise _UsageError(f"--threshold must be finite, got {args.threshold}")
     head, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     segments = scored_test_segments(manifest, head, meta.fusion_mode)
@@ -176,39 +184,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ptde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SynthSpec()
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--name", default="synthetic-package-theft")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--segment-length", type=int, default=32)
-    p.add_argument("--segments-min", type=int, default=4)
-    p.add_argument("--segments-max", type=int, default=8)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--theft-fraction", type=float, default=0.35)
-    p.add_argument("--train-theft", type=int, default=60)
-    p.add_argument("--train-pickup", type=int, default=20)
-    p.add_argument("--train-delivery", type=int, default=20)
-    p.add_argument("--train-irrelevant", type=int, default=20)
-    p.add_argument("--test-theft", type=int, default=40)
-    p.add_argument("--test-pickup", type=int, default=10)
-    p.add_argument("--test-delivery", type=int, default=20)
-    p.add_argument("--test-irrelevant", type=int, default=10)
+    p.add_argument("--name", default=spec.name)
+    p.add_argument("--dim", type=int, default=spec.feature_dim)
+    p.add_argument("--segment-length", type=int, default=spec.segment_length)
+    p.add_argument("--segments-min", type=int, default=spec.segments_min)
+    p.add_argument("--segments-max", type=int, default=spec.segments_max)
+    p.add_argument("--separation", type=float, default=spec.class_separation)
+    p.add_argument("--noise", type=float, default=spec.noise_scale)
+    p.add_argument("--theft-fraction", type=float, default=spec.theft_fraction)
+    for split, counts in zip(SPLITS, (spec.train_counts, spec.test_counts)):
+        for c in CATEGORIES:
+            p.add_argument(f"--{split}-{_COUNT_WORDS[c]}", type=int, default=counts[c])
     p.set_defaults(func=_cmd_synth)
 
+    config = TrainConfig()
     p = sub.add_parser("train", help="train a scoring head on the train split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-log", default=None)
     p.add_argument(
-        "--fusion", choices=[m.value for m in FusionMode], default="global-local"
+        "--fusion", choices=[m.value for m in FusionMode],
+        default=config.fusion_mode.value,
     )
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=5000)
-    p.add_argument("--pairs-per-epoch", type=int, default=30)
-    p.add_argument("--lambda1", type=float, default=8e-5)
-    p.add_argument("--lambda2", type=float, default=8e-5)
+    p.add_argument("--lr", type=float, default=config.learning_rate)
+    p.add_argument("--epochs", type=int, default=config.epochs)
+    p.add_argument("--pairs-per-epoch", type=int, default=config.pairs_per_epoch)
+    p.add_argument("--lambda1", type=float, default=config.lambda1)
+    p.add_argument("--lambda2", type=float, default=config.lambda2)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 

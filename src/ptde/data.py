@@ -8,15 +8,17 @@ as the JSON documents described in the pose module. A JSON manifest ties
 the files to labels, splits, and category tags; its VideoRecords keep each
 video's id, category, annotations, clip count and segment count, and a
 VideoBag holds only what training reads: segment embeddings and the bag
-label.
+label; it is built from a fresh read of the feature file, which must keep
+the clip count and dimension the manifest was loaded with.
 
 Checkpoints carry the scoring head: magic "PTDE", version, input_dim, the
 three layer widths, fusion-mode tag, and seed, followed by the parameters
 as little-endian float64 in layer order, row-major. Round-trips are
-bit-exact.
+bit-exact. The header widths are checked before any array is sized from them.
 """
 
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ from .fileio import write_atomic
 from .fusion import FusionMode, fuse
 from .metrics import CATEGORIES, THEFT_CATEGORY
 from .pose import parse_pose_document, pool_pose, pose_feature
-from .scoring import ScoringHead
+from .scoring import OUTPUT, ScoringHead
 from .segmenting import aggregate_segment
 
 CLIP_FRAMES = 16
@@ -340,8 +342,8 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
     """Assemble one video's bag: aggregate clips, pool pose, fuse.
 
     Each stage runs once over the whole video, on (segments, ...) arrays.
-    The feature file must still hold the clip count the manifest was
-    loaded with, which the record's segment count and annotations were
+    The feature file must still hold the clip count and dimension the
+    manifest was loaded with, which its segments and annotations were
     derived from. A video with no segment loads into the manifest and
     raises EmptyVideo here, so it stops only the commands that need its bag.
     """
@@ -351,6 +353,11 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
         raise CorruptFeatureFile(
             f"{rec.feature_path}: {clips.shape[0]} clips, but the manifest was "
             f"loaded with {rec.clip_count}"
+        )
+    if clips.shape[1] != manifest.feature_dim:
+        raise InconsistentDimension(
+            f"{rec.feature_path}: file dimension {clips.shape[1]} != manifest "
+            f"feature_dim {manifest.feature_dim}"
         )
     num_segments = rec.num_segments
     if num_segments == 0:
@@ -390,7 +397,7 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
             manifest.segment_length,
         )
 
-    embeddings = fuse(appearance, pose, fusion_mode, expected_dim=manifest.feature_dim)
+    embeddings = fuse(appearance, pose, fusion_mode)
     return VideoBag(embeddings=embeddings, is_positive=rec.is_positive)
 
 
@@ -406,10 +413,8 @@ def load_split_bags(manifest: Manifest, split: str, fusion_mode: FusionMode) -> 
 
 @dataclass(frozen=True)
 class CheckpointMeta:
-    """Header fields persisted alongside the parameters."""
+    """Header fields besides the widths, which the loaded head carries."""
 
-    input_dim: int
-    layer_dims: tuple[int, int, int]
     seed: int
     fusion_mode: FusionMode
 
@@ -425,7 +430,7 @@ def save_checkpoint(head: ScoringHead, config, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ScoringHead, CheckpointMeta]:
-    """Bit-exact inverse of save_checkpoint."""
+    """Bit-exact inverse of save_checkpoint; the header is outside input."""
     data = Path(path).read_bytes()
     if len(data) < _CHECKPOINT_HEADER.size:
         raise CorruptCheckpoint(f"{path}: header truncated at byte {len(data)}")
@@ -440,8 +445,14 @@ def load_checkpoint(path) -> tuple[ScoringHead, CheckpointMeta]:
         )
     if tag not in _TAG_FUSIONS:
         raise CorruptCheckpoint(f"{path}: unknown fusion tag {tag}")
+    for name, value in (("input_dim", input_dim), ("hidden1", h1), ("hidden2", h2)):
+        if value == 0:
+            raise CorruptCheckpoint(f"{path}: header field {name} is 0")
+    if out != OUTPUT:
+        raise CorruptCheckpoint(f"{path}: header field out is {out}, expected {OUTPUT}")
     shapes = [(input_dim, h1), (h1,), (h1, h2), (h2,), (h2, out), (out,)]
-    counts = [int(np.prod(s)) for s in shapes]
+    # Python ints: header widths up to 2**32 - 1 overflow an int64 product
+    counts = [math.prod(s) for s in shapes]
     expected = _CHECKPOINT_HEADER.size + sum(counts) * 8
     if len(data) != expected:
         raise CorruptCheckpoint(
@@ -456,9 +467,4 @@ def load_checkpoint(path) -> tuple[ScoringHead, CheckpointMeta]:
     head = ScoringHead(*params)
     if not all(np.all(np.isfinite(p)) for p in head.params()):
         raise CorruptCheckpoint(f"{path}: non-finite parameter values")
-    return head, CheckpointMeta(
-        input_dim=input_dim,
-        layer_dims=(h1, h2, out),
-        seed=seed,
-        fusion_mode=_TAG_FUSIONS[tag],
-    )
+    return head, CheckpointMeta(seed=seed, fusion_mode=_TAG_FUSIONS[tag])

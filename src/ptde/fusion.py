@@ -17,22 +17,17 @@ class FusionMode(Enum):
     GLOBAL_LOCAL_CONCAT = "global-local"
 
 
-def fuse(appearance, pose, mode: FusionMode, expected_dim: int | None = None) -> np.ndarray:
+def fuse(appearance, pose, mode: FusionMode) -> np.ndarray:
     """Combine appearance embeddings with pose features along the last axis.
 
     `appearance` is (..., dim) and `pose`, which must be present exactly
     when the mode is GLOBAL_LOCAL_CONCAT, is (..., 54) over the same
-    leading axes. `expected_dim`, when given, pins the appearance dimension
-    to the dataset's feature dimension.
+    leading axes. The caller owns the appearance dimension: `load_video_bag`
+    checks it against the manifest's `feature_dim`.
     """
     appearance = np.asarray(appearance, dtype=np.float64)
     if appearance.ndim == 0:
         raise DimensionMismatch("appearance embedding must be a vector, got a scalar")
-    if expected_dim is not None and appearance.shape[-1] != expected_dim:
-        raise DimensionMismatch(
-            f"appearance embedding has dimension {appearance.shape[-1]}, "
-            f"dataset dimension is {expected_dim}"
-        )
     if mode is FusionMode.GLOBAL_ONLY:
         if pose is not None:
             raise ValueError("pose feature supplied in global-only mode")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLIP_FRAMES, write_feature_file
+from .data import CLIP_FRAMES, DEFAULT_IMAGE_HEIGHT, DEFAULT_IMAGE_WIDTH, write_feature_file
 from .errors import IoFailure
 from .fileio import write_atomic
 from .metrics import CATEGORIES, NORMAL_CATEGORIES, THEFT_CATEGORY, auc
@@ -46,8 +46,8 @@ _SKELETON = np.array(
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Knobs for the generated dataset; defaults mirror the real corpus
-    split sizes."""
+    """Knobs for the generated dataset and the `ptde synth` flag defaults;
+    the counts mirror the real corpus split sizes."""
 
     seed: int = 0
     name: str = "synthetic-package-theft"
@@ -58,8 +58,8 @@ class SynthSpec:
     class_separation: float = 1.0
     noise_scale: float = 0.1
     theft_fraction: float = 0.35
-    image_width: int = 320
-    image_height: int = 240
+    image_width: int = DEFAULT_IMAGE_WIDTH
+    image_height: int = DEFAULT_IMAGE_HEIGHT
     train_counts: dict = field(default_factory=lambda: dict(_TABLE_TRAIN_COUNTS))
     test_counts: dict = field(default_factory=lambda: dict(_TABLE_TEST_COUNTS))
 

@@ -5,10 +5,12 @@ replacement, stack their rows, run one batched forward/backward pass over
 them, average the summed pair-objective gradients, and take one in-place
 Adagrad step. The squared-gradient sums live in a second ScoringHead,
 zeroed at the start. Runs are bit-for-bit reproducible from (dataset,
-config).
+config). TrainConfig owns the training settings, and the CLI reads its flag
+defaults from it; Adagrad's epsilon is the constant ADAGRAD_EPSILON.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +34,30 @@ class TrainConfig:
     fusion_mode: FusionMode = FusionMode.GLOBAL_LOCAL_CONCAT
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.pairs_per_epoch < 1:
             raise ValueError(
                 f"pairs_per_epoch must be >= 1, got {self.pairs_per_epoch}"
             )
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
+            raise ValueError("lambda1 and lambda2 must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 
 def adagrad_step(
-    head: ScoringHead, grads: ScoringHead, sum_sq: ScoringHead, learning_rate: float, epsilon: float
+    head: ScoringHead, grads: ScoringHead, sum_sq: ScoringHead, learning_rate: float
 ) -> None:
     """One Adagrad update in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
     `sum_sq` holds the per-parameter sums of squared gradients, laid out as
-    a head. Epsilon sits outside the square root. The operations keep the
-    order of that formula, so a step is bitwise equal to it.
+    a head. eps is ADAGRAD_EPSILON, outside the square root. The operations
+    keep the order of that formula, so a step is bitwise equal to it.
     """
     for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         if p.shape != g.shape or p.shape != s.shape:
@@ -64,14 +68,14 @@ def adagrad_step(
         s += g * g
         u = g * learning_rate
         t = np.sqrt(s)
-        t += epsilon
+        t += ADAGRAD_EPSILON
         u /= t
         p -= u
 
 
 @dataclass
 class TrainRun:
-    """Trained head plus per-epoch loss history and the config snapshot."""
+    """Trained head, per-epoch loss history and the config it was given."""
 
     head: ScoringHead
     history: np.ndarray  # (epochs, 4) columns per HISTORY_COLUMNS
@@ -126,9 +130,9 @@ def train(dataset, config: TrainConfig) -> TrainRun:
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
         for g in grads.params():
             g /= pairs
-        adagrad_step(head, grads, sum_sq, config.learning_rate, ADAGRAD_EPSILON)
+        adagrad_step(head, grads, sum_sq, config.learning_rate)
 
-    return TrainRun(head=head, history=history, config=replace(config))
+    return TrainRun(head=head, history=history, config=config)
 
 
 def write_run_log(run: TrainRun, path) -> None:

@@ -119,9 +119,9 @@ def test_batched_epoch_matches_per_pair_loop(case):
         g /= len(pos_bags)
     sum_sq = ScoringHead(*(np.zeros_like(p) for p in head.params()))
     expected_params, expected_sums = functional_adagrad(
-        head.params(), grads.params(), sum_sq.params(), 0.01, 1e-8
+        head.params(), grads.params(), sum_sq.params(), 0.01, ADAGRAD_EPSILON
     )
-    adagrad_step(head, grads, sum_sq, 0.01, 1e-8)
+    adagrad_step(head, grads, sum_sq, 0.01)
     for p, s, ep, es in zip(head.params(), sum_sq.params(), expected_params, expected_sums):
         assert np.array_equal(p, ep)
         assert np.array_equal(s, es)

@@ -1,10 +1,11 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from ptde.cli import main, scored_test_segments
+from ptde.cli import build_parser, main, scored_test_segments
 from ptde.data import (
     load_checkpoint,
     load_manifest,
@@ -16,6 +17,7 @@ from ptde.data import (
 from ptde.fusion import FusionMode
 from ptde.metrics import NORMAL_CATEGORIES, per_category_eval, roc_curve
 from ptde.scoring import init_head
+from ptde.synth import SynthSpec
 from ptde.trainer import TrainConfig
 
 TINY = [
@@ -259,11 +261,23 @@ class TestEvalErrors:
 
 class TestFeatureFileChangedAfterLoad:
     """A feature file rewritten after `load_manifest` no longer matches the
-    clip count the segments and annotations were sized from: `eval` and
-    `roc` exit 2 and name the file."""
+    clip count the segments and annotations were sized from, or the
+    dimension the head was trained for: `eval` and `roc` exit 2 and name
+    the file."""
 
-    @pytest.mark.parametrize("extra_clips", [3, -1], ids=["grown", "shrunk"])
-    def test_eval_and_roc_exit_2(self, tmp_path, monkeypatch, capsys, extra_clips):
+    @pytest.mark.parametrize(
+        "extra_clips, dim_factor, needle",
+        [
+            (3, 1, "{path}: {count} clips"),
+            (-1, 1, "{path}: {count} clips"),
+            # same clip count, so only the dimension check can catch it
+            (0, 2, "{path}: file dimension {dim} != manifest feature_dim 8"),
+        ],
+        ids=["grown", "shrunk", "wider"],
+    )
+    def test_eval_and_roc_exit_2(
+        self, tmp_path, monkeypatch, capsys, extra_clips, dim_factor, needle
+    ):
         # global-only, so no pose document is read to catch the change
         checkpoint = tmp_path / "m.ckpt"
         save_checkpoint(
@@ -281,7 +295,8 @@ class TestFeatureFileChangedAfterLoad:
         path.write_text(json.dumps(raw), encoding="utf-8")
         feature = root / normal[0]["feature_file"]
         clips = read_feature_file(feature)
-        changed = np.ones((len(clips) + extra_clips, clips.shape[1]))
+        changed = np.ones((len(clips) + extra_clips, clips.shape[1] * dim_factor))
+        needle = needle.format(path=feature, count=len(changed), dim=changed.shape[1])
 
         def load_then_rewrite(manifest_path):
             manifest = load_manifest(manifest_path)
@@ -296,7 +311,7 @@ class TestFeatureFileChangedAfterLoad:
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"{feature}: {len(changed)} clips" in captured.err
+            assert needle in captured.err
         assert not csv.exists()
 
 
@@ -346,6 +361,42 @@ class TestUsageErrors:
         assert code == 1
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, dataset, checkpoint, capsys, value):
+        argv = ["eval", "--checkpoint", str(checkpoint), "--manifest", str(dataset)]
+        assert main([*argv, f"--threshold={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threshold must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--lambda1", "nan"), ("--lambda2", "inf")],
+    )
+    def test_non_finite_train_setting(self, dataset, tmp_path, capsys, flag, value):
+        ckpt = tmp_path / "m.ckpt"
+        assert main([
+            "train", "--manifest", str(dataset), "--out-checkpoint", str(ckpt),
+            "--epochs", "2", flag, value,
+        ]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_out_log_naming_the_checkpoint(
+        self, dataset, checkpoint, tmp_path, capsys, spelling
+    ):
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(checkpoint.read_bytes())
+        (tmp_path / "sub").mkdir()
+        log = {"same": ckpt, "dotdot": tmp_path / "sub" / ".." / "m.ckpt"}[spelling]
+        assert main([
+            "train", "--manifest", str(dataset), "--out-checkpoint", str(ckpt),
+            "--out-log", str(log), "--epochs", "2",
+        ]) == 1
+        assert "name the same file" in capsys.readouterr().err
+        assert ckpt.read_bytes() == checkpoint.read_bytes()
+
     def test_checkpoint_dataset_dim_mismatch(self, dataset, checkpoint, tmp_path, capsys):
         other = tmp_path / "other"
         assert main([
@@ -357,6 +408,74 @@ class TestUsageErrors:
             "--manifest", str(other / "manifest.json"),
         ])
         assert code == 2
+
+
+class TestCheckpointHeader:
+    def test_width_product_past_int64_exits_2(self, dataset, tmp_path, capsys):
+        # input_dim = hidden1 = 2**32 - 1 wraps the int64 size to 2 floats
+        path = tmp_path / "model.ckpt"
+        header = struct.pack("<4sIIIIIIq", b"PTDE", 1, 2**32 - 1, 2**32 - 1, 1, 1, 0, 0)
+        path.write_bytes(header + bytes(16))
+        assert main(["eval", "--checkpoint", str(path), "--manifest", str(dataset)]) == 2
+        assert f"error: {path}: expected" in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    """Every synth and train flag default is the matching field of a default
+    SynthSpec or TrainConfig."""
+
+    def test_synth_defaults(self):
+        spec = SynthSpec()
+        args = build_parser().parse_args(["synth", "--out-dir", "d"])
+        assert args.name == spec.name
+        assert args.dim == spec.feature_dim
+        assert args.segment_length == spec.segment_length
+        assert args.segments_min == spec.segments_min
+        assert args.segments_max == spec.segments_max
+        assert args.separation == spec.class_separation
+        assert args.noise == spec.noise_scale
+        assert args.theft_fraction == spec.theft_fraction
+        assert {
+            "PackageTheft": args.train_theft, "Pickup": args.train_pickup,
+            "Delivery": args.train_delivery, "Irrelevant": args.train_irrelevant,
+        } == spec.train_counts
+        assert {
+            "PackageTheft": args.test_theft, "Pickup": args.test_pickup,
+            "Delivery": args.test_delivery, "Irrelevant": args.test_irrelevant,
+        } == spec.test_counts
+
+    def test_synth_flags_reach_the_spec(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(
+            "ptde.cli.generate_synthetic", lambda spec, out: specs.append(spec)
+        )
+        argv = ["synth", "--out-dir", str(tmp_path), "--seed", "0"]
+        assert main(argv) == 0
+        counts = ["--train-theft", "1", "--train-pickup", "2", "--train-delivery", "3",
+                  "--train-irrelevant", "4", "--test-theft", "5", "--test-pickup", "6",
+                  "--test-delivery", "7", "--test-irrelevant", "8"]
+        assert main(argv + counts) == 0
+        assert specs[0] == SynthSpec()
+        assert specs[1].train_counts == {
+            "PackageTheft": 1, "Pickup": 2, "Delivery": 3, "Irrelevant": 4
+        }
+        assert specs[1].test_counts == {
+            "PackageTheft": 5, "Pickup": 6, "Delivery": 7, "Irrelevant": 8
+        }
+        # key order is CATEGORIES order, which the manifest metadata records
+        assert list(specs[1].train_counts) == list(SynthSpec().train_counts)
+
+    def test_train_defaults(self):
+        config = TrainConfig()
+        args = build_parser().parse_args(
+            ["train", "--manifest", "m", "--out-checkpoint", "c"]
+        )
+        assert FusionMode(args.fusion) is config.fusion_mode
+        assert args.lr == config.learning_rate
+        assert args.epochs == config.epochs
+        assert args.pairs_per_epoch == config.pairs_per_epoch
+        assert args.lambda1 == config.lambda1
+        assert args.lambda2 == config.lambda2
 
 
 class TestDeterminism:

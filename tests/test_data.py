@@ -334,12 +334,9 @@ class TestCheckpoints:
         loaded, meta = load_checkpoint(path)
         for a, b in zip(head.params(), loaded.params()):
             assert a.tobytes() == b.tobytes()
-        assert meta == CheckpointMeta(
-            input_dim=17,
-            layer_dims=(512, 32, 1),
-            seed=99,
-            fusion_mode=FusionMode.GLOBAL_LOCAL_CONCAT,
-        )
+        assert loaded.input_dim == 17
+        assert loaded.layer_dims == (512, 32, 1)
+        assert meta == CheckpointMeta(seed=99, fusion_mode=FusionMode.GLOBAL_LOCAL_CONCAT)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         head = init_head(9, 3)
@@ -382,3 +379,41 @@ class TestCheckpoints:
         head, _ = load_checkpoint(path)
         with pytest.raises(DimensionMismatch):
             score_segments(head, np.zeros((2, 5)))
+
+
+class TestCheckpointHeader:
+    """Header widths are outside input: they are checked before any array
+    is sized from them."""
+
+    @staticmethod
+    def _write(path, input_dim, h1, h2, out, floats=None):
+        if floats is None:
+            floats = input_dim * h1 + h1 + h1 * h2 + h2 + h2 * out + out
+        header = struct.pack("<4sIIIIIIq", b"PTDE", 1, input_dim, h1, h2, out, 0, 0)
+        path.write_bytes(header + bytes(8 * floats))
+
+    def test_width_product_past_int64_is_a_size_error(self, tmp_path):
+        # (2**32 - 1)**2 + ... wraps to 2 floats in int64; 52 bytes in all
+        path = tmp_path / "model.ckpt"
+        self._write(path, 2**32 - 1, 2**32 - 1, 1, 1, floats=2)
+        assert path.stat().st_size == 52
+        with pytest.raises(CorruptCheckpoint, match="expected .* bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "widths, field",
+        [
+            ((0, 3, 2, 1), "input_dim"),
+            ((4, 0, 2, 1), "hidden1"),
+            ((4, 3, 0, 1), "hidden2"),
+            ((4, 3, 2, 0), "out"),
+            ((4, 3, 2, 2), "out"),
+        ],
+        ids=["input_dim-0", "hidden1-0", "hidden2-0", "out-0", "out-2"],
+    )
+    def test_bad_width_names_the_field(self, tmp_path, widths, field):
+        # the payload matches the widths, so only the field check can stop it
+        path = tmp_path / "model.ckpt"
+        self._write(path, *widths)
+        with pytest.raises(CorruptCheckpoint, match=f"header field {field} is"):
+            load_checkpoint(path)

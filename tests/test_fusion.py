@@ -39,10 +39,6 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(np.zeros(8), np.zeros(54), FusionMode.GLOBAL_ONLY)
 
-    def test_expected_dim_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            fuse(np.zeros(8), None, FusionMode.GLOBAL_ONLY, expected_dim=16)
-
     def test_bad_pose_dim(self):
         with pytest.raises(DimensionMismatch):
             fuse(np.zeros(8), np.zeros(53), FusionMode.GLOBAL_LOCAL_CONCAT)

@@ -57,7 +57,7 @@ class TestAdagradStep:
         old_head = copy_head(head)
         sum_sq = grads_like(head, 0.0)
         old_sums = copy_head(sum_sq)
-        adagrad_step(head, grads_like(head, 0.0), sum_sq, 0.01, 1e-8)
+        adagrad_step(head, grads_like(head, 0.0), sum_sq, 0.01)
         for old, new in zip(old_head.params(), head.params()):
             assert np.array_equal(old, new)
         for old, new in zip(old_sums.params(), sum_sq.params()):
@@ -67,21 +67,21 @@ class TestAdagradStep:
         head = micro_head()
         old_head = copy_head(head)
         g = 0.5
-        lr, eps = 0.01, 1e-8
-        adagrad_step(head, grads_like(head, g), grads_like(head, 0.0), lr, eps)
-        expected_delta = -lr * g / (g + eps)  # sqrt(g^2) = g on the first step
+        lr = 0.01
+        adagrad_step(head, grads_like(head, g), grads_like(head, 0.0), lr)
+        expected_delta = -lr * g / (g + ADAGRAD_EPSILON)  # sqrt(g^2) = g on the first step
         for old, new in zip(old_head.params(), head.params()):
             np.testing.assert_allclose(new - old, expected_delta, rtol=1e-12)
 
     def test_two_equal_gradients(self):
         head = micro_head()
-        g, lr, eps = 0.7, 0.01, 1e-8
+        g, lr = 0.7, 0.01
         grads = grads_like(head, g)
         sum_sq = grads_like(head, 0.0)
-        adagrad_step(head, grads, sum_sq, lr, eps)
+        adagrad_step(head, grads, sum_sq, lr)
         h1 = copy_head(head)
-        adagrad_step(head, grads, sum_sq, lr, eps)
-        expected_delta = -lr * g / (np.sqrt(2.0 * g * g) + eps)
+        adagrad_step(head, grads, sum_sq, lr)
+        expected_delta = -lr * g / (np.sqrt(2.0 * g * g) + ADAGRAD_EPSILON)
         for a, b in zip(h1.params(), head.params()):
             np.testing.assert_allclose(b - a, expected_delta, rtol=1e-12)
 
@@ -94,7 +94,7 @@ class TestAdagradStep:
             grads = ScoringHead(
                 *(rng.standard_normal(p.shape) for p in head.params())
             )
-            adagrad_step(head, grads, sum_sq, 0.01, 1e-8)
+            adagrad_step(head, grads, sum_sq, 0.01)
             for before, after in zip(prev.params(), sum_sq.params()):
                 assert np.all(after >= before)
             prev = copy_head(sum_sq)
@@ -103,14 +103,14 @@ class TestAdagradStep:
         rng = np.random.default_rng(1)
         head = micro_head()
         sum_sq = grads_like(head, 0.0)
-        lr, eps = 0.01, 1e-8
+        lr, eps = 0.01, ADAGRAD_EPSILON
         for _ in range(5):
             grads = ScoringHead(*(rng.standard_normal(p.shape) for p in head.params()))
             expected = [
                 (p - lr * g / (np.sqrt(s + g * g) + eps), s + g * g)
                 for p, g, s in zip(head.params(), grads.params(), sum_sq.params())
             ]
-            adagrad_step(head, grads, sum_sq, lr, eps)
+            adagrad_step(head, grads, sum_sq, lr)
             for (p, s), new_p, new_s in zip(
                 expected, head.params(), sum_sq.params()
             ):
@@ -122,7 +122,7 @@ class TestAdagradStep:
         bad = grads_like(head, 1.0)
         bad.w1 = np.zeros((3, 3))
         with pytest.raises(ShapeMismatch):
-            adagrad_step(head, bad, grads_like(head, 0.0), 0.01, 1e-8)
+            adagrad_step(head, bad, grads_like(head, 0.0), 0.01)
 
 
 class TestTrainConfig:
@@ -142,6 +142,11 @@ class TestTrainConfig:
             {"pairs_per_epoch": 0},
             {"lambda1": -1e-9},
             {"seed": -1},
+            # nan <= 0 is False, so an order test alone lets these through
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"lambda1": float("nan")},
+            {"lambda2": float("inf")},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -215,7 +220,7 @@ class TestTrain:
         bags = make_bags(np.random.default_rng(8))
         config = quick_config()
         run = train(bags, config)
-        assert run.config == config
+        assert run.config is config  # frozen, so no copy is needed
 
 
 class TestRunLog:
