@@ -50,24 +50,27 @@ def _validate_lambdas(lambda1: float, lambda2: float) -> None:
         raise NegativeLambda(f"lambdas must be >= 0, got {lambda1} and {lambda2}")
 
 
+def _validate_side(scores, starts, name: str):
+    """(scores, starts) of one side; a side without starts is one bag."""
+    starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts)
+    if starts.size == 0:
+        raise EmptyBatch("batch contains no bag pairs")
+    scores = _validate_bag(scores, name)
+    if starts.ndim != 1 or starts.dtype.kind not in "iu" or starts[0] != 0:
+        raise ValueError(f"{name} starts must be a flat list of integers from 0")
+    if np.any(np.diff(starts, append=scores.size) <= 0):
+        raise EmptyBag(f"{name} starts give a bag with no segment scores")
+    return scores, starts
+
+
 def _validate_pairs(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
-    """[pos, pos_starts, neg, neg_starts]; a side without starts is one bag."""
-    out = []
-    sides = ((pos_scores, pos_starts, "positive"), (neg_scores, neg_starts, "negative"))
-    for scores, starts, name in sides:
-        starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts)
-        if starts.size == 0:
-            raise EmptyBatch("batch contains no bag pairs")
-        scores = _validate_bag(scores, name)
-        if starts.ndim != 1 or starts.dtype.kind not in "iu" or starts[0] != 0:
-            raise ValueError(f"{name} starts must be a flat list of integers from 0")
-        if np.any(np.diff(starts, append=scores.size) <= 0):
-            raise EmptyBag(f"{name} starts give a bag with no segment scores")
-        out += [scores, starts]
-    if out[1].size != out[3].size:
-        raise ValueError(f"{out[1].size} positive bags but {out[3].size} negative bags")
+    """[pos, pos_starts, neg, neg_starts], one bag per pair and side."""
+    pos, ps = _validate_side(pos_scores, pos_starts, "positive")
+    neg, ns = _validate_side(neg_scores, neg_starts, "negative")
+    if ps.size != ns.size:
+        raise ValueError(f"{ps.size} positive bags but {ns.size} negative bags")
     _validate_lambdas(lambda1, lambda2)
-    return out
+    return pos, ps, neg, ns
 
 
 def _smoothness_diffs(pos, ps) -> np.ndarray:

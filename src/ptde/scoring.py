@@ -6,8 +6,9 @@ The head maps a segment embedding to a theft confidence in (0, 1):
 
 Hidden widths are 512 and 32. Gradients of the pair ranking objective are
 computed analytically; no autodiff framework is involved. A training epoch
-is one `backprop` call: one forward and one backward pass over its stacked
-bag pairs.
+is one `backprop` call over its distinct bags: the forward pass runs once
+per bag however many pairs use it, and the backward pass runs only over
+rows whose score gradient is non-zero.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .loss import loss_score_gradients, mil_ranking_loss
+from .loss import _validate_side, loss_score_gradients, mil_ranking_loss
 
 HIDDEN1 = 512
 HIDDEN2 = 32
@@ -113,11 +114,11 @@ def score_segments(head: ScoringHead, embeddings) -> np.ndarray:
     return _forward(head, _as_bag(embeddings, head.input_dim, "segment"))[2]
 
 
-def _backward(head: ScoringHead, x, h1, h2, scores, dscores) -> ScoringHead:
-    """Parameter gradients from score gradients. relu'(0) = 0: masks come
-    from h > 0, which is z > 0, NaN included. dz1 overwrites h1 once h1 has
-    given dw2 and its mask, so one (rows, 512) float array is live at a time."""
-    dz3 = (dscores * scores * (1.0 - scores))[:, None]
+def _backward(head: ScoringHead, x, h1, h2, dz3) -> ScoringHead:
+    """Parameter gradients from the sigmoid-input gradients dz3 (rows, 1).
+    relu'(0) = 0: masks come from h > 0, which is z > 0, NaN included. dz1
+    overwrites h1 once h1 has given dw2 and its mask, so one (rows, 512)
+    float array is live at a time."""
     dw3 = h2.T @ dz3
     db3 = dz3.sum(axis=0)
     dz2 = dz3 @ head.w3.T
@@ -132,22 +133,68 @@ def _backward(head: ScoringHead, x, h1, h2, scores, dscores) -> ScoringHead:
     return ScoringHead(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
+def _pair_index(pairs, n_pos: int, n_neg: int) -> np.ndarray:
+    """(P, 2) int array of (positive bag, negative bag); default (k, k)."""
+    if pairs is None:
+        if n_pos != n_neg:
+            raise ValueError(f"{n_pos} positive bags but {n_neg} negative bags")
+        k = np.arange(n_pos)
+        return np.column_stack((k, k))
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError(f"pairs must be a (P, 2) integer array, got shape {pairs.shape}")
+    if len(pairs) == 0:
+        raise ValueError("pairs is empty")
+    if np.any(pairs < 0) or np.any(pairs >= (n_pos, n_neg)):
+        raise ValueError(f"pairs index outside {n_pos} positive / {n_neg} negative bags")
+    return pairs
+
+
+def _gather(starts, size: int, bags):
+    """Row indices of `bags`, stacked in order, and their stacked starts."""
+    starts = starts.astype(np.intp)
+    lengths = np.diff(starts, append=size)[bags]
+    stacked = np.cumsum(lengths) - lengths
+    rows = np.repeat(starts[bags] - stacked, lengths) + np.arange(lengths.sum())
+    return rows, stacked
+
+
 def backprop(
     head: ScoringHead, pos_rows, neg_rows, lambda1: float, lambda2: float,
-    pos_starts=None, neg_starts=None,
+    pos_starts=None, neg_starts=None, pairs=None,
 ):
     """Pair objective summed over bag pairs, and its exact parameter
-    gradients as a ScoringHead, from one forward and one backward pass.
+    gradients as a ScoringHead.
 
-    `pos_rows`/`neg_rows` stack the pairs' positive/negative bag rows, and
-    `pos_starts[k]`/`neg_starts[k]` give the first row of pair k's bags;
-    without starts the call is one pair. Kinks as in the loss module.
+    `pos_rows`/`neg_rows` stack the positive/negative bags' rows, bag b of a
+    side starting at row `pos_starts[b]`/`neg_starts[b]`; without starts a
+    side is one bag. `pairs` is a (P, 2) int array of (positive bag,
+    negative bag) indices; without it pair k is (k, k). A bag in several
+    pairs is scored once, and its score gradients are summed before one
+    backward pass over the rows whose gradient is non-zero; every other row
+    would add exactly zero. Kinks as in the loss module.
     """
     pos = _as_bag(pos_rows, head.input_dim, "positive")
     neg = _as_bag(neg_rows, head.input_dim, "negative")
+    n_pos = len(pos)
     x = np.concatenate((pos, neg))
     h1, h2, scores = _forward(head, x)
-    ps, ns = scores[: len(pos)], scores[len(pos) :]
-    breakdown = mil_ranking_loss(ps, ns, lambda1, lambda2, pos_starts, neg_starts)
-    dps, dns = loss_score_gradients(ps, ns, lambda1, lambda2, pos_starts, neg_starts)
-    return breakdown, _backward(head, x, h1, h2, scores, np.concatenate((dps, dns)))
+    _, pos_starts = _validate_side(scores[:n_pos], pos_starts, "positive")
+    _, neg_starts = _validate_side(scores[n_pos:], neg_starts, "negative")
+    pairs = _pair_index(pairs, len(pos_starts), len(neg_starts))
+    # each pair's score lists in the stacked layout the loss reads
+    pos_idx, ps = _gather(pos_starts, n_pos, pairs[:, 0])
+    neg_idx, ns = _gather(neg_starts, len(neg), pairs[:, 1])
+    neg_idx += n_pos
+    p, n = scores[pos_idx], scores[neg_idx]
+    breakdown = mil_ranking_loss(p, n, lambda1, lambda2, ps, ns)
+    dp, dn = loss_score_gradients(p, n, lambda1, lambda2, ps, ns)
+    dscores = np.bincount(
+        np.concatenate((pos_idx, neg_idx)),
+        weights=np.concatenate((dp, dn)),
+        minlength=len(scores),
+    )
+    dz3 = dscores * scores * (1.0 - scores)
+    live = np.flatnonzero(dz3)
+    x, h1, h2 = x[live], h1[live], h2[live]  # frees the all-row arrays
+    return breakdown, _backward(head, x, h1, h2, dz3[live, None])

@@ -1,12 +1,13 @@
 """Adagrad training loop over sampled bag pairs.
 
 One epoch = sample `pairs_per_epoch` (positive, negative) bag pairs with
-replacement, stack their rows, run one batched forward/backward pass over
-them, average the summed pair-objective gradients, and take one in-place
-Adagrad step. The squared-gradient sums live in a second ScoringHead,
-zeroed at the start. Runs are bit-for-bit reproducible from (dataset,
-config). TrainConfig owns the training settings, and the CLI reads its flag
-defaults from it; Adagrad's epsilon is the constant ADAGRAD_EPSILON.
+replacement, stack each side's distinct bags once, run one `backprop` call
+over them (forward once per distinct bag, backward only over rows with a
+non-zero score gradient), average the summed pair-objective gradients, and
+take one in-place Adagrad step. The squared-gradient sums live in a second
+ScoringHead, zeroed at the start. Runs are bit-for-bit reproducible from
+(dataset, config). TrainConfig owns the training settings, and the CLI reads
+its flag defaults from it; Adagrad's epsilon is the constant ADAGRAD_EPSILON.
 """
 
 import math
@@ -114,16 +115,19 @@ def train(dataset, config: TrainConfig) -> TrainRun:
     for epoch in range(config.epochs):
         pos_idx = sampler.integers(0, len(pos), size=pairs)
         neg_idx = sampler.integers(0, len(neg), size=pairs)
-        pos_lens, neg_lens = pos_lengths[pos_idx], neg_lengths[neg_idx]
-        # one stacked row array per side; bag k starts after bags 0..k-1
+        # each side's distinct bags, stacked once; pairs index into them
+        pos_bags, pos_of_pair = np.unique(pos_idx, return_inverse=True)
+        neg_bags, neg_of_pair = np.unique(neg_idx, return_inverse=True)
+        pos_lens, neg_lens = pos_lengths[pos_bags], neg_lengths[neg_bags]
         bd, grads = backprop(
             head,
-            np.concatenate([pos[i].embeddings for i in pos_idx]),
-            np.concatenate([neg[i].embeddings for i in neg_idx]),
+            np.concatenate([pos[i].embeddings for i in pos_bags]),
+            np.concatenate([neg[i].embeddings for i in neg_bags]),
             config.lambda1,
             config.lambda2,
             pos_starts=np.cumsum(pos_lens) - pos_lens,
             neg_starts=np.cumsum(neg_lens) - neg_lens,
+            pairs=np.column_stack((pos_of_pair, neg_of_pair)),
         )
         history[epoch] = np.array((bd.total, bd.hinge, bd.smoothness, bd.sparsity)) / pairs
         if not np.isfinite(history[epoch, 0]):

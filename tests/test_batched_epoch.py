@@ -3,10 +3,12 @@
 The oracle is a test-local copy of the per-pair epoch: one `backprop` call
 per (positive, negative) pair, the gradients summed in pair order and
 divided by the pair count, and a functional Adagrad step
-p - lr * g / (sqrt(acc) + eps). The batched epoch stacks the same pairs'
-rows and runs one forward and one backward pass. Float reductions run in a
-different order, so gradients and loss terms agree to a relative bound,
-not bitwise; the in-place Adagrad step is bitwise equal to the formula.
+p - lr * g / (sqrt(acc) + eps). The batched epoch scores each distinct bag
+once and runs the backward pass only over rows with a non-zero score
+gradient. Float reductions run in a different order, so loss terms agree
+to a relative bound, and each gradient entry to GRAD_RTOL times the summed
+magnitudes of the terms that make it up (`term_magnitudes`), not bitwise.
+The in-place Adagrad step is bitwise equal to the formula.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptde import scoring
 from ptde.data import VideoBag
 from ptde.errors import NonFiniteLoss
+from ptde.loss import loss_score_gradients, mil_ranking_loss
 from ptde.scoring import ScoringHead, backprop, init_head
 from ptde.trainer import (
     ADAGRAD_EPSILON,
@@ -43,29 +47,75 @@ def small_head(rng, dim=DIM, h1=16, h2=8):
     )
 
 
-def per_pair_epoch(head, pos_bags, neg_bags):
-    """Oracle: summed loss terms and summed gradients, one pair at a time."""
+def term_magnitudes(head, pos, neg, lam1, lam2):
+    """One pair's backward chain with every factor replaced by its magnitude.
+
+    Entry by entry, this is the sum of |terms| the pair adds to each
+    parameter gradient. Round-off of any summation order is a small
+    multiple of it, also where the gradient itself nearly cancels (a pair
+    with one bag on both sides gives its argmax row -1 and +1).
+    """
+    x = np.concatenate((pos, neg))
+    h1 = np.maximum(x @ head.w1 + head.b1, 0.0)
+    h2 = np.maximum(h1 @ head.w2 + head.b2, 0.0)
+    s = 1.0 / (1.0 + np.exp(-(h2 @ head.w3 + head.b3)[:, 0]))
+    dp, dn = loss_score_gradients(s[: len(pos)], s[len(pos) :], lam1, lam2)
+    dz3 = (np.abs(np.concatenate((dp, dn))) * s * (1.0 - s))[:, None]
+    a2 = dz3 * np.abs(head.w3.T) * (h2 > 0.0)
+    a1 = (a2 @ np.abs(head.w2.T)) * (h1 > 0.0)
+    return [np.abs(x).T @ a1, a1.sum(axis=0), h1.T @ a2, a2.sum(axis=0),
+            h2.T @ dz3, dz3.sum(axis=0)]
+
+
+def loss_terms(bd):
+    """A LossBreakdown's terms in HISTORY_COLUMNS order."""
+    return np.array([bd.total, bd.hinge, bd.smoothness, bd.sparsity])
+
+
+def per_pair_epoch(head, pos_bags, neg_bags, lam1=LAM1, lam2=LAM2):
+    """Oracle: summed loss terms, summed gradients and summed term
+    magnitudes, one pair at a time."""
     terms = np.zeros(len(HISTORY_COLUMNS))
-    grad_sum = None
+    grad_sum = magnitudes = None
     for p, n in zip(pos_bags, neg_bags):
-        bd, grads = backprop(head, p, n, LAM1, LAM2)
-        terms += (bd.total, bd.hinge, bd.smoothness, bd.sparsity)
+        bd, grads = backprop(head, p, n, lam1, lam2)
+        terms += loss_terms(bd)
+        mags = term_magnitudes(head, p, n, lam1, lam2)
         if grad_sum is None:
             grad_sum = [g.copy() for g in grads.params()]
+            magnitudes = mags
         else:
             for acc, g in zip(grad_sum, grads.params()):
                 acc += g
-    return terms, grad_sum
+            for acc, m in zip(magnitudes, mags):
+                acc += m
+    return terms, grad_sum, magnitudes
+
+
+def bag_starts(bags):
+    return np.cumsum([0] + [len(b) for b in bags[:-1]])
 
 
 def batched_epoch(head, pos_bags, neg_bags):
-    pos_starts = np.cumsum([0] + [len(b) for b in pos_bags[:-1]])
-    neg_starts = np.cumsum([0] + [len(b) for b in neg_bags[:-1]])
     bd, grads = backprop(
         head, np.concatenate(pos_bags), np.concatenate(neg_bags), LAM1, LAM2,
-        pos_starts=pos_starts, neg_starts=neg_starts,
+        pos_starts=bag_starts(pos_bags), neg_starts=bag_starts(neg_bags),
     )
-    return np.array([bd.total, bd.hinge, bd.smoothness, bd.sparsity]), grads
+    return loss_terms(bd), grads
+
+
+def stacked_backprop(head, pos_bags, neg_bags, lam1, lam2):
+    """Test-local copy of the all-row epoch: every pair's rows stacked, one
+    forward and one backward pass over all of them."""
+    pos, neg = np.concatenate(pos_bags), np.concatenate(neg_bags)
+    x = np.concatenate((pos, neg))
+    h1, h2, s = scoring._forward(head, x)
+    ps, ns = s[: len(pos)], s[len(pos) :]
+    starts = (bag_starts(pos_bags), bag_starts(neg_bags))
+    bd = mil_ranking_loss(ps, ns, lam1, lam2, *starts)
+    dps, dns = loss_score_gradients(ps, ns, lam1, lam2, *starts)
+    dz3 = (np.concatenate((dps, dns)) * s * (1.0 - s))[:, None]
+    return bd, scoring._backward(head, x, h1, h2, dz3)
 
 
 def functional_adagrad(params, grads, sums, lr, eps):
@@ -79,40 +129,57 @@ def assert_close(actual, expected, rtol):
     assert float(np.max(np.abs(actual - expected))) <= rtol * scale
 
 
+def grads_within(grads, expected, magnitudes):
+    """Every entry within GRAD_RTOL of its summed term magnitudes."""
+    return all(
+        g.shape == e.shape and np.all(np.abs(g - e) <= GRAD_RTOL * m)
+        for g, e, m in zip(grads, expected, magnitudes)
+    )
+
+
+def make_epoch(seed, lengths, ties, pos_idx, neg_idx):
+    """(head, bag pool, pos_idx, neg_idx); a tied bag repeats one row."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for length, tie in zip(lengths, ties):
+        bag = rng.standard_normal((length, DIM))
+        if length > 1 and tie:
+            i, j = rng.choice(length, size=2, replace=False)
+            bag[j] = bag[i]
+        pool.append(bag)
+    return small_head(rng), pool, list(pos_idx), list(neg_idx)
+
+
 @st.composite
 def epochs(draw):
     """A pool of bags and P pairs drawn from it with replacement.
 
     Bags hold 1-8 rows; some repeat a row, so their maximum score is tied.
-    A pair may use one bag on both sides.
+    A pair may use one bag on both sides, and a bag may recur on each side.
     """
     seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    pool = []
-    for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)):
-        bag = rng.standard_normal((length, DIM))
-        if length > 1 and draw(st.booleans()):
-            i, j = rng.choice(length, size=2, replace=False)
-            bag[j] = bag[i]
-        pool.append(bag)
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    ties = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
     pairs = draw(st.integers(1, 8))
-    index = st.integers(0, len(pool) - 1)
+    index = st.integers(0, len(lengths) - 1)
     pos_idx = draw(st.lists(index, min_size=pairs, max_size=pairs))
     neg_idx = draw(st.lists(index, min_size=pairs, max_size=pairs))
-    head = small_head(rng)
-    return head, [pool[i] for i in pos_idx], [pool[i] for i in neg_idx]
+    return make_epoch(seed, lengths, ties, pos_idx, neg_idx)
+
+
+def pair_bags(pool, pos_idx, neg_idx):
+    return [pool[i] for i in pos_idx], [pool[i] for i in neg_idx]
 
 
 @settings(max_examples=60, deadline=None)
 @given(epochs())
 def test_batched_epoch_matches_per_pair_loop(case):
-    head, pos_bags, neg_bags = case
-    expected_terms, expected_grads = per_pair_epoch(head, pos_bags, neg_bags)
+    head, pool, pos_idx, neg_idx = case
+    pos_bags, neg_bags = pair_bags(pool, pos_idx, neg_idx)
+    expected_terms, expected_grads, magnitudes = per_pair_epoch(head, pos_bags, neg_bags)
     terms, grads = batched_epoch(head, pos_bags, neg_bags)
     assert_close(terms, expected_terms, TERM_RTOL)
-    for g, expected in zip(grads.params(), expected_grads):
-        assert g.shape == expected.shape
-        assert_close(g, expected, GRAD_RTOL)
+    assert grads_within(grads.params(), expected_grads, magnitudes)
 
     # one Adagrad step on the mean gradient: in place == functional, bitwise
     for g in grads.params():
@@ -125,6 +192,140 @@ def test_batched_epoch_matches_per_pair_loop(case):
     for p, s, ep, es in zip(head.params(), sum_sq.params(), expected_params, expected_sums):
         assert np.array_equal(p, ep)
         assert np.array_equal(s, es)
+
+
+# b3's gradient here is -1.2e-6, summed from terms of magnitude 1.0
+NEAR_CANCELLATION = dict(
+    seed=1936417407, lengths=[5, 8], ties=[False, True], pos_idx=[1, 1], neg_idx=[1, 0]
+)
+EIGHT_PAIRS = dict(
+    seed=826825379, lengths=[8, 4], ties=[False, False],
+    pos_idx=[1, 0, 0, 0, 0, 0, 1, 1], neg_idx=[0, 0, 1, 0, 1, 1, 1, 0],
+)
+
+
+def test_near_cancellation_is_held_to_its_terms():
+    """A bound scaled by the array's largest |entry| allows b3 less than
+    one rounding of its terms, so a correct sum in another order can fail
+    it; the entrywise bound allows a few thousand roundings."""
+    head, pool, pos_idx, neg_idx = make_epoch(**NEAR_CANCELLATION)
+    pos_bags, neg_bags = pair_bags(pool, pos_idx, neg_idx)
+    _, expected, magnitudes = per_pair_epoch(head, pos_bags, neg_bags)
+    b3, b3_terms = abs(expected[5][0]), magnitudes[5][0]
+    assert GRAD_RTOL * b3 < np.spacing(b3_terms) < GRAD_RTOL * b3_terms / 1000
+    for grads in (batched_epoch(head, pos_bags, neg_bags)[1],
+                  stacked_backprop(head, pos_bags, neg_bags, LAM1, LAM2)[1]):
+        assert grads_within(grads.params(), expected, magnitudes)
+
+
+@pytest.mark.parametrize("case", [NEAR_CANCELLATION, EIGHT_PAIRS])
+def test_entrywise_bound_rejects_wrong_gradients(case):
+    head, pool, pos_idx, neg_idx = make_epoch(**case)
+    pos_bags, neg_bags = pair_bags(pool, pos_idx, neg_idx)
+    _, expected, magnitudes = per_pair_epoch(head, pos_bags, neg_bags)
+    grads = [g.copy() for g in batched_epoch(head, pos_bags, neg_bags)[1].params()]
+    assert grads_within(grads, expected, magnitudes)
+
+    _, dropped = batched_epoch(head, pos_bags[1:], neg_bags[1:])
+    assert not grads_within(dropped.params(), expected, magnitudes)
+
+    # the entry largest against its terms, off by a relative 1e-9
+    ratios = [np.abs(e) / np.where(m > 0, m, np.inf) for e, m in zip(expected, magnitudes)]
+    k = int(np.argmax([r.max() for r in ratios]))
+    entry = np.unravel_index(np.argmax(ratios[k]), ratios[k].shape)
+    grads[k][entry] *= 1.0 + 1e-9
+    assert not grads_within(grads, expected, magnitudes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(epochs(), st.sampled_from([(LAM1, LAM2), (0.0, 0.0)]))
+def test_pairs_over_distinct_bags_match_the_stacked_epoch(case, lambdas):
+    """The pool is passed once per side and the pairs index into it:
+    repeated bags, unused bags, ties at the maximum and, with both lambdas
+    0, positive rows without a gradient."""
+    head, pool, pos_idx, neg_idx = case
+    pos_bags, neg_bags = pair_bags(pool, pos_idx, neg_idx)
+    expected_bd, expected = stacked_backprop(head, pos_bags, neg_bags, *lambdas)
+    _, _, magnitudes = per_pair_epoch(head, pos_bags, neg_bags, *lambdas)
+    rows, starts = np.concatenate(pool), bag_starts(pool)
+    bd, grads = backprop(
+        head, rows, rows, *lambdas, pos_starts=starts, neg_starts=starts,
+        pairs=np.column_stack((pos_idx, neg_idx)),
+    )
+    assert_close(loss_terms(bd), loss_terms(expected_bd), TERM_RTOL)
+    assert grads_within(grads.params(), expected.params(), magnitudes)
+
+
+def record_rows(monkeypatch):
+    """Row counts of every forward and backward pass from here on."""
+    rows = {"forward": [], "backward": []}
+    forward, backward = scoring._forward, scoring._backward
+
+    def counted_forward(head, x):
+        rows["forward"].append(len(x))
+        return forward(head, x)
+
+    def counted_backward(head, x, *rest):
+        rows["backward"].append(len(x))
+        return backward(head, x, *rest)
+
+    monkeypatch.setattr(scoring, "_forward", counted_forward)
+    monkeypatch.setattr(scoring, "_backward", counted_backward)
+    return rows
+
+
+def test_forward_once_per_bag_and_backward_over_live_rows(monkeypatch):
+    rng = np.random.default_rng(4)
+    head = small_head(rng)
+    pos, neg = rng.standard_normal((4, DIM)), rng.standard_normal((5, DIM))
+    rows = record_rows(monkeypatch)
+    backprop(head, pos, neg, LAM1, LAM2, pairs=np.zeros((3, 2), dtype=int))
+    assert rows["forward"] == [4 + 5]
+    # every positive row (the lambda terms) and the negative argmax
+    assert rows["backward"] == [4 + 1]
+
+
+def test_no_live_row_gives_exact_zero_gradients(monkeypatch):
+    """Positive scores saturate at 1.0 and negative ones at 0.0, so every
+    hinge is met; with both lambdas 0 no row has a score gradient."""
+    head = ScoringHead(
+        w1=np.ones((DIM, 4)), b1=np.zeros(4), w2=np.ones((4, 2)), b2=np.zeros(2),
+        w3=np.ones((2, 1)), b3=np.array([-800.0]),
+    )
+    pos, neg = np.full((3, DIM), 100.0), np.full((2, DIM), -100.0)
+    rows = record_rows(monkeypatch)
+    bd, grads = backprop(head, pos, neg, 0.0, 0.0, pairs=[[0, 0], [0, 0]])
+    assert bd.total == 0.0
+    assert rows["backward"] == [0]
+    for g, p in zip(grads.params(), head.params()):
+        assert g.shape == p.shape
+        assert not g.any()
+
+
+@pytest.mark.parametrize("pairs", [
+    [[0, 1]],  # one negative bag
+    [[-1, 0]],
+    [[0, 0, 0]],
+    [0, 0],
+    np.zeros((0, 2), dtype=int),
+    [[0.0, 0.0]],
+])
+def test_malformed_pairs_raise(pairs):
+    rng = np.random.default_rng(5)
+    head = small_head(rng)
+    with pytest.raises(ValueError):
+        backprop(head, rng.standard_normal((3, DIM)), rng.standard_normal((2, DIM)),
+                 LAM1, LAM2, pos_starts=[0, 1], pairs=pairs)
+
+
+def test_unequal_bag_counts_need_pairs():
+    rng = np.random.default_rng(6)
+    head = small_head(rng)
+    pos, neg = rng.standard_normal((3, DIM)), rng.standard_normal((2, DIM))
+    with pytest.raises(ValueError, match="2 positive bags but 1 negative bags"):
+        backprop(head, pos, neg, LAM1, LAM2, pos_starts=[0, 1])
+    bd, _ = backprop(head, pos, neg, LAM1, LAM2, pos_starts=[0, 1], pairs=[[1, 0]])
+    assert bd.total == pytest.approx(backprop(head, pos[1:], neg, LAM1, LAM2)[0].total)
 
 
 def test_single_pair_is_the_one_bag_call():
@@ -161,7 +362,7 @@ def per_pair_train(bags, config):
     for epoch in range(config.epochs):
         pos_idx = sampler.integers(0, len(pos), size=config.pairs_per_epoch)
         neg_idx = sampler.integers(0, len(neg), size=config.pairs_per_epoch)
-        terms, grad_sum = per_pair_epoch(
+        terms, grad_sum, _ = per_pair_epoch(
             ScoringHead(*params), [pos[i] for i in pos_idx], [neg[i] for i in neg_idx]
         )
         history[epoch] = terms / config.pairs_per_epoch
