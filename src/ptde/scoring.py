@@ -81,16 +81,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _activate(z: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """relu(z + bias), in place in z."""
+    z += bias
+    return np.maximum(z, 0.0, out=z)
+
+
+def _upper(head: ScoringHead, h1: np.ndarray):
+    """(h2, scores) from layer 1's activations."""
+    h2 = _activate(h1 @ head.w2, head.b2)
+    z3 = h2 @ head.w3 + head.b3
+    return h2, _sigmoid(z3[:, 0])
+
+
 def _forward(head: ScoringHead, x: np.ndarray):
     """(h1, h2, scores) for the rows of x; ReLU is applied in place."""
-    h1 = x @ head.w1
-    h1 += head.b1
-    np.maximum(h1, 0.0, out=h1)
-    h2 = h1 @ head.w2
-    h2 += head.b2
-    np.maximum(h2, 0.0, out=h2)
-    z3 = h2 @ head.w3 + head.b3
-    return h1, h2, _sigmoid(z3[:, 0])
+    h1 = _activate(x @ head.w1, head.b1)
+    return (h1, *_upper(head, h1))
 
 
 def _as_bag(embeddings, input_dim: int, name: str) -> np.ndarray:
@@ -109,9 +116,43 @@ def _as_bag(embeddings, input_dim: int, name: str) -> np.ndarray:
     return x
 
 
-def score_segments(head: ScoringHead, embeddings) -> np.ndarray:
-    """Scores for an ordered list of segment embeddings, order preserved."""
-    return _forward(head, _as_bag(embeddings, head.input_dim, "segment"))[2]
+def _bag_bounds(starts, rows: int) -> np.ndarray:
+    """starts followed by `rows`; each bag must hold at least one row."""
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.dtype.kind not in "iu" or starts.size == 0:
+        raise ValueError(f"starts must be a non-empty flat list of integers, got {starts!r}")
+    bounds = np.append(starts.astype(np.intp), rows)
+    if bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+        raise ValueError(f"starts must increase from 0 within {rows} rows, got {starts!r}")
+    return bounds
+
+
+def score_segments(head: ScoringHead, embeddings, starts=None) -> np.ndarray:
+    """Scores for an ordered list of segment embeddings, order preserved.
+
+    With `starts` the rows stack several bags, bag b starting at row
+    `starts[b]` as in `backprop`. Layer 1 is one product over all rows, so
+    the weights are read once: with OpenBLAS's gemm a row of it does not
+    depend on which other rows share the product. Layer 2's product does,
+    so layers 2 and 3 run on each bag's slice. A 1-row bag takes layer 1
+    alone, because numpy sends a (1, d) product to gemv, whose sums differ
+    from gemm's. Each bag's scores are then bitwise those of its own call,
+    except where OpenBLAS gives that call's small product to its
+    small-matrix kernel (widths 386-974 in OpenBLAS 0.3.31), whose sums
+    differ in the last bits.
+    """
+    x = _as_bag(embeddings, head.input_dim, "segment")
+    if starts is None:
+        return _forward(head, x)[2]
+    bounds = _bag_bounds(starts, len(x))
+    z1 = x @ head.w1
+    for i in bounds[:-1][np.diff(bounds) == 1]:
+        z1[i] = x[i : i + 1] @ head.w1
+    h1 = _activate(z1, head.b1)
+    scores = np.empty(len(x))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        scores[lo:hi] = _upper(head, h1[lo:hi])[1]
+    return scores
 
 
 def _backward(head: ScoringHead, x, h1, h2, dz3) -> ScoringHead:

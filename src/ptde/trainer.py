@@ -22,6 +22,8 @@ from .scoring import ScoringHead, backprop, init_head
 
 HISTORY_COLUMNS = ("total", "hinge", "smoothness", "sparsity")
 ADAGRAD_EPSILON = 1e-8
+# 512 KB of float64 per temporary; a 118-d w1 (60416 elements) is one block
+ADAGRAD_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,17 @@ class TrainConfig:
 
 
 def adagrad_step(
-    head: ScoringHead, grads: ScoringHead, sum_sq: ScoringHead, learning_rate: float
+    head: ScoringHead, grads: ScoringHead, sum_sq: ScoringHead, learning_rate: float,
+    divisor: float = 1,
 ) -> None:
     """One Adagrad update in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
     `sum_sq` holds the per-parameter sums of squared gradients, laid out as
-    a head. eps is ADAGRAD_EPSILON, outside the square root. The operations
-    keep the order of that formula, so a step is bitwise equal to it.
+    a head. eps is ADAGRAD_EPSILON, outside the square root. The gradients
+    are first divided in place by `divisor` (the trainer's pair count). The
+    operations keep the order of that formula, so a step is bitwise equal to
+    it. Being elementwise, they run over row blocks of ADAGRAD_BLOCK_ELEMENTS
+    so that each block's temporaries stay in cache.
     """
     for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         if p.shape != g.shape or p.shape != s.shape:
@@ -66,12 +72,16 @@ def adagrad_step(
                 f"parameter/gradient/accumulator shapes differ: {p.shape} vs {g.shape} vs {s.shape}"
             )
     for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
-        s += g * g
-        u = g * learning_rate
-        t = np.sqrt(s)
-        t += ADAGRAD_EPSILON
-        u /= t
-        p -= u
+        rows = max(1, ADAGRAD_BLOCK_ELEMENTS * len(p) // p.size)
+        for lo in range(0, len(p), rows):
+            pb, gb, sb = p[lo : lo + rows], g[lo : lo + rows], s[lo : lo + rows]
+            gb /= divisor
+            sb += gb * gb
+            u = gb * learning_rate
+            t = np.sqrt(sb)
+            t += ADAGRAD_EPSILON
+            u /= t
+            pb -= u
 
 
 @dataclass
@@ -132,9 +142,7 @@ def train(dataset, config: TrainConfig) -> TrainRun:
         history[epoch] = np.array((bd.total, bd.hinge, bd.smoothness, bd.sparsity)) / pairs
         if not np.isfinite(history[epoch, 0]):
             raise NonFiniteLoss(f"objective became non-finite at epoch {epoch}")
-        for g in grads.params():
-            g /= pairs
-        adagrad_step(head, grads, sum_sq, config.learning_rate)
+        adagrad_step(head, grads, sum_sq, config.learning_rate, pairs)
 
     return TrainRun(head=head, history=history, config=config)
 

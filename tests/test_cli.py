@@ -240,13 +240,22 @@ class TestEvalErrors:
             assert needle in captured.err
         assert not csv.exists()
 
-    def test_theft_video_without_annotations(self, dataset, checkpoint, tmp_path, capsys):
+    def test_theft_video_without_annotations(
+        self, dataset, checkpoint, tmp_path, capsys, monkeypatch
+    ):
         manifest, thefts = self._edited(
             dataset, "no-annotations.json", lambda v: v[-1].pop("annotations")
+        )
+        # found before any bag is scored, though the video is the last theft
+        reads = []
+        monkeypatch.setattr(
+            "ptde.data.read_feature_file",
+            lambda path: reads.append(path) or read_feature_file(path),
         )
         self._assert_both_exit_2(
             manifest, checkpoint, tmp_path, capsys, repr(thefts[-1]["id"])
         )
+        assert reads == []
 
     def test_no_theft_segments(self, dataset, checkpoint, tmp_path, capsys):
         def clear(thefts):

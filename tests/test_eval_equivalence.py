@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from ptde.cli import main
+from ptde import cli
+from ptde.cli import SCORE_BLOCK_ROWS, main, scored_test_segments
 from ptde.data import (
     load_checkpoint,
     load_manifest,
@@ -285,6 +286,71 @@ def test_one_clip_segments_with_tied_scores(tmp_path, capsys):
     assert new_outputs(manifest_path, checkpoint, tmp_path, capsys) == old_outputs(
         manifest_path, checkpoint
     )
+
+
+# ------------------------------------------ blocks of whole test videos
+
+def test_4150d_corpus_with_one_row_videos(tmp_path, capsys):
+    """Extractor-width features, 1-row videos among the test split, and
+    more test rows than one scoring block."""
+    root = tmp_path / "data"
+    assert main([
+        "synth", "--out-dir", str(root), "--seed", "3", "--dim", "4096",
+        "--segments-min", "1", "--train-theft", "2", "--train-pickup", "1",
+        "--train-delivery", "1", "--train-irrelevant", "1", "--test-theft", "16",
+        "--test-pickup", "16", "--test-delivery", "16", "--test-irrelevant", "16",
+    ]) == 0
+    manifest_path = root / "manifest.json"
+    counts = [r.num_segments for r in load_manifest(manifest_path).split_records("test")]
+    assert 1 in counts and sum(counts) > SCORE_BLOCK_ROWS
+    checkpoint = tmp_path / "m.ckpt"
+    assert main([
+        "train", "--manifest", str(manifest_path), "--out-checkpoint", str(checkpoint),
+        "--epochs", "3", "--pairs-per-epoch", "3", "--seed", "2",
+    ]) == 0
+    assert new_outputs(manifest_path, checkpoint, tmp_path, capsys) == old_outputs(
+        manifest_path, checkpoint
+    )
+
+
+def test_blocks_end_on_video_boundaries(tmp_path, monkeypatch):
+    """Videos join a block while it stays within SCORE_BLOCK_ROWS rows; a
+    longer one is scored alone; a video with no segment adds no row."""
+    b = SCORE_BLOCK_ROWS
+    lengths = [b - 100, 0, 100, 1, b + 44, 2, b - 2, 3]
+    rng = np.random.default_rng(8)
+    videos = []
+    for k, n in enumerate(lengths):
+        vid = f"test_{k}"
+        # two clips per segment; a single clip makes no segment
+        write_feature_file(tmp_path / f"{vid}.ptdf", rng.standard_normal((2 * n or 1, 4)))
+        record = {"id": vid, "split": "test", "feature_file": f"{vid}.ptdf",
+                  "category": "PackageTheft" if k % 2 else "Pickup"}
+        if k % 2:
+            record["annotations"] = [int(k % 3 == 0)] * n
+        videos.append(record)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "name": "blocks", "feature_dim": 4, "clip_length": 16, "segment_length": 32,
+        "videos": videos,
+    }), encoding="utf-8")
+    manifest, head = load_manifest(path), init_head(4, seed=3)
+
+    calls = []
+
+    def recorded(head, x, starts=None):
+        calls.append((len(x), None if starts is None else list(starts)))
+        return score_segments(head, x, starts)
+
+    monkeypatch.setattr(cli, "score_segments", recorded)
+    split = scored_test_segments(manifest, head, FusionMode.GLOBAL_ONLY)
+    assert calls == [(b, [0, b - 100]), (1, None), (b + 44, None), (b, [0, 2]), (3, None)]
+    own = [
+        score_segments(head, load_video_bag(manifest, v["id"], FusionMode.GLOBAL_ONLY).embeddings)
+        for v, n in zip(videos, lengths) if n
+    ]
+    assert np.array_equal(split.scores, np.concatenate(own))
+    assert split.offsets.tolist() == np.cumsum([0] + lengths).tolist()
 
 
 # ------------------------------------------------------- arrays and curves

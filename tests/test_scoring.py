@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptde.cli import SCORE_BLOCK_ROWS
 from ptde.errors import DimensionMismatch, EmptyBag
 from ptde.loss import mil_ranking_loss
 from ptde.scoring import (
@@ -110,6 +111,8 @@ class TestScore:
         head = init_head(8, 0)
         with pytest.raises(DimensionMismatch):
             score_segments(head, np.zeros((1, 9)))
+        with pytest.raises(DimensionMismatch):
+            score_segments(head, np.zeros((4, 9)), starts=[0, 2])
 
 
 class TestScoreSegments:
@@ -131,6 +134,31 @@ class TestScoreSegments:
         out = score_segments(head, bag)
         for i in range(5):
             assert out[i] == pytest.approx(score_one(head, bag[i]), abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [4, 8, 62, 118, 4150])
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1, 2, 3, 5, 8, 1, 2], [SCORE_BLOCK_ROWS + 1, 1, 3], [1]],
+        ids=["short", "longer-than-a-block", "one-row"],
+    )
+    def test_stacked_bags_score_as_their_own_calls(self, dim, lengths):
+        """Bitwise, at the full 512/32 widths the BLAS kernels see."""
+        rng = np.random.default_rng(dim)
+        head = ScoringHead(*(
+            p + rng.uniform(-0.1, 0.1, p.shape) for p in init_head(dim, 1).params()
+        ))
+        bags = [rng.standard_normal((n, dim)) for n in lengths]
+        starts = np.cumsum(lengths) - lengths
+        stacked = score_segments(head, np.concatenate(bags), starts)
+        own = np.concatenate([score_segments(head, b) for b in bags])
+        assert np.array_equal(stacked, own)
+
+    @pytest.mark.parametrize(
+        "starts", [[], [1, 3], [0, 3, 3], [0, 2, 1], [0, 5], [0, 6], [[0, 2]], [0.0, 2.0]]
+    )
+    def test_starts_must_increase_from_0_within_the_rows(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            score_segments(init_head(8, 0), np.zeros((5, 8)), starts)
 
 
 def loss_at(head, pos, neg, lam1, lam2):

@@ -12,6 +12,7 @@ from ptde.fusion import FusionMode
 from ptde.loss import ranking_satisfied
 from ptde.scoring import ScoringHead, score_segments
 from ptde.trainer import (
+    ADAGRAD_BLOCK_ELEMENTS,
     ADAGRAD_EPSILON,
     TrainConfig,
     adagrad_step,
@@ -116,6 +117,34 @@ class TestAdagradStep:
             ):
                 assert np.array_equal(p, new_p)
                 assert np.array_equal(s, new_s)
+
+    def test_row_blocks_and_divisor_match_the_whole_array_step_bitwise(self):
+        # shapes that do not divide into blocks, and a 1-D one over a block
+        rng = np.random.default_rng(3)
+        rows = ADAGRAD_BLOCK_ELEMENTS // 512
+        shapes = [(2 * rows + 37, 512), (ADAGRAD_BLOCK_ELEMENTS + 3,), (513, 32),
+                  (32,), (32, 1), (1,)]
+        head = ScoringHead(*(rng.standard_normal(s) for s in shapes))
+        sum_sq = ScoringHead(*(rng.random(s) for s in shapes))
+        lr = 0.01
+        for divisor in (30, 7, 1):
+            grads = ScoringHead(*(rng.standard_normal(s) for s in shapes))
+            expected = []
+            for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
+                g = g / divisor
+                s = s + g * g
+                u = g * lr
+                t = np.sqrt(s)
+                t += ADAGRAD_EPSILON
+                u /= t
+                expected.append((p - u, s, g))
+            adagrad_step(head, grads, sum_sq, lr, divisor)
+            for (p, s, g), new_p, new_s, new_g in zip(
+                expected, head.params(), sum_sq.params(), grads.params()
+            ):
+                assert np.array_equal(p, new_p)
+                assert np.array_equal(s, new_s)
+                assert np.array_equal(g, new_g)
 
     def test_shape_mismatch(self):
         head = micro_head()
