@@ -7,9 +7,9 @@ ROC/AUC reports.
 """
 
 from .data import (
+    BagSet,
     CheckpointMeta,
     Manifest,
-    VideoBag,
     VideoRecord,
     load_checkpoint,
     load_manifest,
@@ -49,6 +49,7 @@ from .trainer import TrainConfig, TrainRun, adagrad_step, train
 __version__ = "0.1.0"
 
 __all__ = [
+    "BagSet",
     "CheckpointMeta",
     "DEFAULT_THRESHOLD",
     "FusionMode",
@@ -61,7 +62,6 @@ __all__ = [
     "SynthSpec",
     "TrainConfig",
     "TrainRun",
-    "VideoBag",
     "VideoRecord",
     "adagrad_step",
     "aggregate_segment",

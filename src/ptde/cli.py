@@ -92,10 +92,7 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     scores = np.empty(offsets[-1], dtype=np.float64)
 
     def score_block(videos):
-        bags = [
-            load_video_bag(manifest, records[i].video_id, fusion_mode).embeddings
-            for i in videos
-        ]
+        bags = [load_video_bag(manifest, records[i].video_id, fusion_mode) for i in videos]
         lo, hi = offsets[videos[0]], offsets[videos[-1] + 1]
         if len(bags) == 1:
             scores[lo:hi] = score_segments(head, bags[0])
@@ -177,7 +174,7 @@ def _cmd_score(args) -> int:
     head, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     bag = load_video_bag(manifest, args.video_id, meta.fusion_mode)
-    for s in score_segments(head, bag.embeddings):
+    for s in score_segments(head, bag):
         print(f"{s:.6f}")
     return 0
 

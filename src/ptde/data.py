@@ -6,10 +6,11 @@ extractors. Appearance features arrive in PTDF binary files (header: magic
 then clip_count x dim little-endian float32 values). Pose keypoints arrive
 as the JSON documents described in the pose module. A JSON manifest ties
 the files to labels, splits, and category tags; its VideoRecords keep each
-video's id, category, annotations, clip count and segment count, and a
-VideoBag holds only what training reads: segment embeddings and the bag
-label; it is built from a fresh read of the feature file, which must keep
-the clip count and dimension the manifest was loaded with.
+video's id, category, annotations, clip count and segment count. A video's
+bag is its (segments, dim) embedding array, built from a fresh read of the
+feature file, which must keep the clip count and dimension the manifest was
+loaded with. A BagSet stacks a whole split's bags into one array with their
+offsets and bag labels, which is all that training reads.
 
 Checkpoints carry the scoring head: magic "PTDE", version, input_dim, the
 three layer widths, fusion-mode tag, and seed, followed by the parameters
@@ -44,7 +45,7 @@ from .errors import (
 from .fileio import write_atomic
 from .fusion import FusionMode, fuse
 from .metrics import CATEGORIES, THEFT_CATEGORY
-from .pose import parse_pose_document, pool_pose, pose_feature
+from .pose import SEGMENT_FEATURE_DIM, parse_pose_document, pool_pose, pose_feature
 from .scoring import OUTPUT, ScoringHead
 from .segmenting import aggregate_segment
 
@@ -327,19 +328,17 @@ def load_manifest(path) -> Manifest:
 # -------------------------------------------------------------------- bags
 
 @dataclass(frozen=True)
-class VideoBag:
-    """One video as an ordered set of segment embeddings plus its bag label.
+class BagSet:
+    """A split's bags stacked in manifest order: bag b is rows
+    `offsets[b]:offsets[b + 1]` of `embeddings`, as in `ScoredSplit`."""
 
-    Everything else about the video (id, category, annotations) stays on
-    its manifest VideoRecord.
-    """
-
-    embeddings: np.ndarray  # (num_segments, dim)
-    is_positive: bool
+    embeddings: np.ndarray  # (rows, dim)
+    offsets: np.ndarray  # (bags + 1,) int64, from 0 to rows
+    is_positive: np.ndarray  # (bags,) bool
 
 
-def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -> VideoBag:
-    """Assemble one video's bag: aggregate clips, pool pose, fuse.
+def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -> np.ndarray:
+    """One video's (segments, dim) bag: aggregate clips, pool pose, fuse.
 
     Each stage runs once over the whole video, on (segments, ...) arrays.
     The feature file must still hold the clip count and dimension the
@@ -397,16 +396,22 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
             manifest.segment_length,
         )
 
-    embeddings = fuse(appearance, pose, fusion_mode)
-    return VideoBag(embeddings=embeddings, is_positive=rec.is_positive)
+    return fuse(appearance, pose, fusion_mode)
 
 
-def load_split_bags(manifest: Manifest, split: str, fusion_mode: FusionMode) -> list[VideoBag]:
-    """All bags of one split, in manifest order."""
-    return [
-        load_video_bag(manifest, rec.video_id, fusion_mode)
-        for rec in manifest.split_records(split)
-    ]
+def load_split_bags(manifest: Manifest, split: str, fusion_mode: FusionMode) -> BagSet:
+    """All bags of one split, each loaded by `load_video_bag` into its rows
+    of one array sized from the records' segment counts."""
+    records = manifest.split_records(split)
+    offsets = np.cumsum([0] + [rec.num_segments for rec in records], dtype=np.int64)
+    width = manifest.feature_dim
+    if fusion_mode is FusionMode.GLOBAL_LOCAL_CONCAT:
+        width += SEGMENT_FEATURE_DIM
+    embeddings = np.empty((offsets[-1], width))
+    for rec, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+        embeddings[lo:hi] = load_video_bag(manifest, rec.video_id, fusion_mode)
+    is_positive = np.array([rec.is_positive for rec in records], dtype=bool)
+    return BagSet(embeddings, offsets, is_positive)
 
 
 # ------------------------------------------------------------- checkpoints

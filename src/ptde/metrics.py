@@ -107,7 +107,7 @@ class ScoredSplit:
 
     Video i owns rows offsets[i]:offsets[i + 1]. `labels` is 1 for a
     theft-annotated segment, else 0; `categories` holds each segment's video
-    category as an index into CATEGORIES (-1 for any other name).
+    category as an index into CATEGORIES.
     """
 
     scores: np.ndarray  # (N,) float64

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .loss import _validate_side, loss_score_gradients, mil_ranking_loss
+from .loss import loss_score_gradients, mil_ranking_loss
 
 HIDDEN1 = 512
 HIDDEN2 = 32
@@ -131,15 +131,15 @@ def score_segments(head: ScoringHead, embeddings, starts=None) -> np.ndarray:
     """Scores for an ordered list of segment embeddings, order preserved.
 
     With `starts` the rows stack several bags, bag b starting at row
-    `starts[b]` as in `backprop`. Layer 1 is one product over all rows, so
-    the weights are read once: with OpenBLAS's gemm a row of it does not
-    depend on which other rows share the product. Layer 2's product does,
-    so layers 2 and 3 run on each bag's slice. A 1-row bag takes layer 1
-    alone, because numpy sends a (1, d) product to gemv, whose sums differ
-    from gemm's. Each bag's scores are then bitwise those of its own call,
-    except where OpenBLAS gives that call's small product to its
-    small-matrix kernel (widths 386-974 in OpenBLAS 0.3.31), whose sums
-    differ in the last bits.
+    `starts[b]`, the layout `backprop` also reads. Layer 1 is one product
+    over all rows, so the weights are read once: with OpenBLAS's gemm a row
+    of it does not depend on which other rows share the product. Layer 2's
+    product does, so layers 2 and 3 run on each bag's slice. A 1-row bag
+    takes layer 1 alone, because numpy sends a (1, d) product to gemv,
+    whose sums differ from gemm's. Each bag's scores are then bitwise those
+    of its own call, except where OpenBLAS gives that call's small product
+    to its small-matrix kernel (widths 386-974 in OpenBLAS 0.3.31), whose
+    sums differ in the last bits.
     """
     x = _as_bag(embeddings, head.input_dim, "segment")
     if starts is None:
@@ -174,20 +174,15 @@ def _backward(head: ScoringHead, x, h1, h2, dz3) -> ScoringHead:
     return ScoringHead(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
-def _pair_index(pairs, n_pos: int, n_neg: int) -> np.ndarray:
-    """(P, 2) int array of (positive bag, negative bag); default (k, k)."""
-    if pairs is None:
-        if n_pos != n_neg:
-            raise ValueError(f"{n_pos} positive bags but {n_neg} negative bags")
-        k = np.arange(n_pos)
-        return np.column_stack((k, k))
+def _pair_index(pairs, n_bags: int) -> np.ndarray:
+    """`pairs` as a (P, 2) int array of (positive bag, negative bag)."""
     pairs = np.asarray(pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
         raise ValueError(f"pairs must be a (P, 2) integer array, got shape {pairs.shape}")
     if len(pairs) == 0:
         raise ValueError("pairs is empty")
-    if np.any(pairs < 0) or np.any(pairs >= (n_pos, n_neg)):
-        raise ValueError(f"pairs index outside {n_pos} positive / {n_neg} negative bags")
+    if np.any(pairs < 0) or np.any(pairs >= n_bags):
+        raise ValueError(f"pairs index outside {n_bags} bags")
     return pairs
 
 
@@ -200,33 +195,30 @@ def _gather(starts, size: int, bags):
     return rows, stacked
 
 
-def backprop(
-    head: ScoringHead, pos_rows, neg_rows, lambda1: float, lambda2: float,
-    pos_starts=None, neg_starts=None, pairs=None,
-):
+def backprop(head: ScoringHead, embeddings, starts, pairs, lambda1: float, lambda2: float):
     """Pair objective summed over bag pairs, and its exact parameter
     gradients as a ScoringHead.
 
-    `pos_rows`/`neg_rows` stack the positive/negative bags' rows, bag b of a
-    side starting at row `pos_starts[b]`/`neg_starts[b]`; without starts a
-    side is one bag. `pairs` is a (P, 2) int array of (positive bag,
-    negative bag) indices; without it pair k is (k, k). A bag in several
-    pairs is scored once, and its score gradients are summed before one
-    backward pass over the rows whose gradient is non-zero; every other row
-    would add exactly zero. Kinks as in the loss module.
+    `embeddings` stacks the bags' rows, bag b starting at row `starts[b]`,
+    as in `score_segments`. `pairs` is a (P, 2) int array of (positive bag,
+    negative bag) indices into `starts`. Each side's distinct bags are
+    gathered once, positives first and each side in ascending bag order,
+    and scored once however many pairs use them; their score gradients are
+    summed before one backward pass over the rows whose gradient is
+    non-zero, since every other row would add exactly zero. Kinks as in the
+    loss module.
     """
-    pos = _as_bag(pos_rows, head.input_dim, "positive")
-    neg = _as_bag(neg_rows, head.input_dim, "negative")
-    n_pos = len(pos)
-    x = np.concatenate((pos, neg))
+    x = _as_bag(embeddings, head.input_dim, "training")
+    bounds = _bag_bounds(starts, len(x))
+    pairs = _pair_index(pairs, len(bounds) - 1)
+    pos_bags, pos_of_pair = np.unique(pairs[:, 0], return_inverse=True)
+    neg_bags, neg_of_pair = np.unique(pairs[:, 1], return_inverse=True)
+    rows, stacked = _gather(bounds[:-1], len(x), np.concatenate((pos_bags, neg_bags)))
+    x = x[rows]
     h1, h2, scores = _forward(head, x)
-    _, pos_starts = _validate_side(scores[:n_pos], pos_starts, "positive")
-    _, neg_starts = _validate_side(scores[n_pos:], neg_starts, "negative")
-    pairs = _pair_index(pairs, len(pos_starts), len(neg_starts))
     # each pair's score lists in the stacked layout the loss reads
-    pos_idx, ps = _gather(pos_starts, n_pos, pairs[:, 0])
-    neg_idx, ns = _gather(neg_starts, len(neg), pairs[:, 1])
-    neg_idx += n_pos
+    pos_idx, ps = _gather(stacked, len(x), pos_of_pair)
+    neg_idx, ns = _gather(stacked, len(x), neg_of_pair + len(pos_bags))
     p, n = scores[pos_idx], scores[neg_idx]
     breakdown = mil_ranking_loss(p, n, lambda1, lambda2, ps, ns)
     dp, dn = loss_score_gradients(p, n, lambda1, lambda2, ps, ns)

@@ -1,10 +1,11 @@
 """Adagrad training loop over sampled bag pairs.
 
 One epoch = sample `pairs_per_epoch` (positive, negative) bag pairs with
-replacement, stack each side's distinct bags once, run one `backprop` call
-over them (forward once per distinct bag, backward only over rows with a
-non-zero score gradient), average the summed pair-objective gradients, and
-take one in-place Adagrad step. The squared-gradient sums live in a second
+replacement from a split's BagSet, hand them to one `backprop` call over the
+split's rows (which gathers each distinct bag once, runs the forward pass
+once per distinct bag and the backward pass only over rows with a non-zero
+score gradient), average the summed pair-objective gradients, and take one
+in-place Adagrad step. The squared-gradient sums live in a second
 ScoringHead, zeroed at the start. Runs are bit-for-bit reproducible from
 (dataset, config). TrainConfig owns the training settings, and the CLI reads
 its flag defaults from it; Adagrad's epsilon is the constant ADAGRAD_EPSILON.
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, NonFiniteLoss, ShapeMismatch
+from .data import BagSet
+from .errors import InsufficientData, NonFiniteLoss, ShapeMismatch
 from .fileio import write_atomic
 from .fusion import FusionMode
 from .scoring import ScoringHead, backprop, init_head
@@ -93,29 +95,21 @@ class TrainRun:
     config: TrainConfig
 
 
-def train(dataset, config: TrainConfig) -> TrainRun:
-    """Train a fresh head on labeled VideoBags.
+def train(bags: BagSet, config: TrainConfig) -> TrainRun:
+    """Train a fresh head on a split's labeled bags.
 
-    `dataset` is any sequence of bags exposing `.embeddings` (segments x
-    dim) and `.is_positive`. Sampling, initialization, and reduction order
-    are all fixed by config.seed.
+    Sampling, initialization, and reduction order are all fixed by
+    config.seed.
     """
-    bags = list(dataset)
-    pos = [b for b in bags if b.is_positive]
-    neg = [b for b in bags if not b.is_positive]
-    if not pos or not neg:
+    pos = np.flatnonzero(bags.is_positive)
+    neg = np.flatnonzero(~bags.is_positive)
+    if not len(pos) or not len(neg):
         raise InsufficientData(
             f"need at least one positive and one negative bag, "
             f"got {len(pos)} positive / {len(neg)} negative"
         )
-    dims = {b.embeddings.shape[1] for b in bags}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"bags have mixed embedding dimensions {sorted(dims)}")
-    (input_dim,) = dims
-
-    pos_lengths = np.array([len(b.embeddings) for b in pos])
-    neg_lengths = np.array([len(b.embeddings) for b in neg])
-    head = init_head(input_dim, config.seed)
+    starts = bags.offsets[:-1]
+    head = init_head(bags.embeddings.shape[1], config.seed)
     sum_sq = ScoringHead(*(np.zeros_like(p) for p in head.params()))
     # sampling stream keyed off the seed, distinct from the init stream
     sampler = np.random.default_rng([config.seed, 1])
@@ -125,19 +119,9 @@ def train(dataset, config: TrainConfig) -> TrainRun:
     for epoch in range(config.epochs):
         pos_idx = sampler.integers(0, len(pos), size=pairs)
         neg_idx = sampler.integers(0, len(neg), size=pairs)
-        # each side's distinct bags, stacked once; pairs index into them
-        pos_bags, pos_of_pair = np.unique(pos_idx, return_inverse=True)
-        neg_bags, neg_of_pair = np.unique(neg_idx, return_inverse=True)
-        pos_lens, neg_lens = pos_lengths[pos_bags], neg_lengths[neg_bags]
         bd, grads = backprop(
-            head,
-            np.concatenate([pos[i].embeddings for i in pos_bags]),
-            np.concatenate([neg[i].embeddings for i in neg_bags]),
-            config.lambda1,
-            config.lambda2,
-            pos_starts=np.cumsum(pos_lens) - pos_lens,
-            neg_starts=np.cumsum(neg_lens) - neg_lens,
-            pairs=np.column_stack((pos_of_pair, neg_of_pair)),
+            head, bags.embeddings, starts, np.column_stack((pos[pos_idx], neg[neg_idx])),
+            config.lambda1, config.lambda2,
         )
         history[epoch] = np.array((bd.total, bd.hinge, bd.smoothness, bd.sparsity)) / pairs
         if not np.isfinite(history[epoch, 0]):

@@ -115,7 +115,7 @@ def _check_gradients(params, x, n_pos, step=1e-5, lam1=8e-5, lam2=8e-5):
         return hinge + lam1 * (d * d).sum(axis=-1) + lam2 * p.sum(axis=-1)
 
     head = ScoringHead(*(a.copy() for a in params))
-    _, grads = backprop(head, x[:n_pos], x[n_pos:], lam1, lam2)
+    _, grads = backprop(head, x, [0, n_pos], [[0, 1]], lam1, lam2)
     analytic = grads.params()
 
     bad = 0
@@ -272,15 +272,11 @@ def test_criterion_4_end_to_end_learning(separable_result, tmp_path):
 
 def test_criterion_5_bag_ranking(separable_result):
     head = separable_result.run.head
-    pos = [b for b in separable_result.test_bags if b.is_positive]
-    neg = [b for b in separable_result.test_bags if not b.is_positive]
-    hits = sum(
-        ranking_satisfied(
-            score_segments(head, p.embeddings), score_segments(head, n.embeddings)
-        )
-        for p in pos
-        for n in neg
-    )
+    bags = separable_result.test_bags
+    scores = [score_segments(head, x) for x in np.split(bags.embeddings, bags.offsets[1:-1])]
+    pos = [s for s, positive in zip(scores, bags.is_positive) if positive]
+    neg = [s for s, positive in zip(scores, bags.is_positive) if not positive]
+    hits = sum(ranking_satisfied(p, n) for p in pos for n in neg)
     fraction = hits / (len(pos) * len(neg))
     ok = fraction >= 0.9
     report(

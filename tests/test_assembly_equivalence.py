@@ -308,7 +308,7 @@ def test_load_video_bag_matches_per_segment_path(clips_per_segment, seed, ties, 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_video(Path(tmp), clips, doc, length, 320, 240)
         for mode in FusionMode:
-            got = load_video_bag(manifest, "v", mode).embeddings
+            got = load_video_bag(manifest, "v", mode)
             assert got.tobytes() == oracle_bag(manifest, "v", mode).tobytes()
 
 

@@ -9,6 +9,10 @@ gradient. Float reductions run in a different order, so loss terms agree
 to a relative bound, and each gradient entry to GRAD_RTOL times the summed
 magnitudes of the terms that make it up (`term_magnitudes`), not bitwise.
 The in-place Adagrad step is bitwise equal to the formula.
+
+Training on a split's BagSet, where `backprop` gathers each epoch's bags
+from the one split array, is held bitwise to a test-local copy of the
+epoch that stacked each side's distinct bags itself.
 """
 
 import numpy as np
@@ -17,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptde import scoring
-from ptde.data import VideoBag
+from ptde.data import BagSet, load_manifest, load_split_bags
 from ptde.errors import NonFiniteLoss
+from ptde.fusion import FusionMode
 from ptde.loss import loss_score_gradients, mil_ranking_loss
 from ptde.scoring import ScoringHead, backprop, init_head
+from ptde.synth import SynthSpec, generate_synthetic
 from ptde.trainer import (
     ADAGRAD_EPSILON,
     HISTORY_COLUMNS,
@@ -72,13 +78,18 @@ def loss_terms(bd):
     return np.array([bd.total, bd.hinge, bd.smoothness, bd.sparsity])
 
 
+def one_pair(head, pos, neg, lam1, lam2):
+    """`backprop` over one (positive, negative) pair of bags."""
+    return backprop(head, np.concatenate((pos, neg)), [0, len(pos)], [[0, 1]], lam1, lam2)
+
+
 def per_pair_epoch(head, pos_bags, neg_bags, lam1=LAM1, lam2=LAM2):
     """Oracle: summed loss terms, summed gradients and summed term
     magnitudes, one pair at a time."""
     terms = np.zeros(len(HISTORY_COLUMNS))
     grad_sum = magnitudes = None
     for p, n in zip(pos_bags, neg_bags):
-        bd, grads = backprop(head, p, n, lam1, lam2)
+        bd, grads = one_pair(head, p, n, lam1, lam2)
         terms += loss_terms(bd)
         mags = term_magnitudes(head, p, n, lam1, lam2)
         if grad_sum is None:
@@ -97,9 +108,13 @@ def bag_starts(bags):
 
 
 def batched_epoch(head, pos_bags, neg_bags):
+    """One `backprop` call in which pair k is (pos_bags[k], neg_bags[k]),
+    each listed bag a bag of its own."""
+    k = np.arange(len(pos_bags))
+    bags = pos_bags + neg_bags
     bd, grads = backprop(
-        head, np.concatenate(pos_bags), np.concatenate(neg_bags), LAM1, LAM2,
-        pos_starts=bag_starts(pos_bags), neg_starts=bag_starts(neg_bags),
+        head, np.concatenate(bags), bag_starts(bags), np.column_stack((k, k + len(k))),
+        LAM1, LAM2,
     )
     return loss_terms(bd), grads
 
@@ -240,17 +255,16 @@ def test_entrywise_bound_rejects_wrong_gradients(case):
 @settings(max_examples=60, deadline=None)
 @given(epochs(), st.sampled_from([(LAM1, LAM2), (0.0, 0.0)]))
 def test_pairs_over_distinct_bags_match_the_stacked_epoch(case, lambdas):
-    """The pool is passed once per side and the pairs index into it:
-    repeated bags, unused bags, ties at the maximum and, with both lambdas
-    0, positive rows without a gradient."""
+    """The pool is passed once and the pairs index into it: repeated bags,
+    unused bags, a bag on both sides, ties at the maximum and, with both
+    lambdas 0, positive rows without a gradient."""
     head, pool, pos_idx, neg_idx = case
     pos_bags, neg_bags = pair_bags(pool, pos_idx, neg_idx)
     expected_bd, expected = stacked_backprop(head, pos_bags, neg_bags, *lambdas)
     _, _, magnitudes = per_pair_epoch(head, pos_bags, neg_bags, *lambdas)
-    rows, starts = np.concatenate(pool), bag_starts(pool)
     bd, grads = backprop(
-        head, rows, rows, *lambdas, pos_starts=starts, neg_starts=starts,
-        pairs=np.column_stack((pos_idx, neg_idx)),
+        head, np.concatenate(pool), bag_starts(pool),
+        np.column_stack((pos_idx, neg_idx)), *lambdas,
     )
     assert_close(loss_terms(bd), loss_terms(expected_bd), TERM_RTOL)
     assert grads_within(grads.params(), expected.params(), magnitudes)
@@ -279,7 +293,7 @@ def test_forward_once_per_bag_and_backward_over_live_rows(monkeypatch):
     head = small_head(rng)
     pos, neg = rng.standard_normal((4, DIM)), rng.standard_normal((5, DIM))
     rows = record_rows(monkeypatch)
-    backprop(head, pos, neg, LAM1, LAM2, pairs=np.zeros((3, 2), dtype=int))
+    backprop(head, np.concatenate((pos, neg)), [0, 4], [[0, 1]] * 3, LAM1, LAM2)
     assert rows["forward"] == [4 + 5]
     # every positive row (the lambda terms) and the negative argmax
     assert rows["backward"] == [4 + 1]
@@ -294,7 +308,7 @@ def test_no_live_row_gives_exact_zero_gradients(monkeypatch):
     )
     pos, neg = np.full((3, DIM), 100.0), np.full((2, DIM), -100.0)
     rows = record_rows(monkeypatch)
-    bd, grads = backprop(head, pos, neg, 0.0, 0.0, pairs=[[0, 0], [0, 0]])
+    bd, grads = backprop(head, np.concatenate((pos, neg)), [0, 3], [[0, 1]] * 2, 0.0, 0.0)
     assert bd.total == 0.0
     assert rows["backward"] == [0]
     for g, p in zip(grads.params(), head.params()):
@@ -303,7 +317,7 @@ def test_no_live_row_gives_exact_zero_gradients(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [
-    [[0, 1]],  # one negative bag
+    [[0, 3]],  # bags are 0-2
     [[-1, 0]],
     [[0, 0, 0]],
     [0, 0],
@@ -314,47 +328,33 @@ def test_malformed_pairs_raise(pairs):
     rng = np.random.default_rng(5)
     head = small_head(rng)
     with pytest.raises(ValueError):
-        backprop(head, rng.standard_normal((3, DIM)), rng.standard_normal((2, DIM)),
-                 LAM1, LAM2, pos_starts=[0, 1], pairs=pairs)
+        backprop(head, rng.standard_normal((5, DIM)), [0, 1, 3], pairs, LAM1, LAM2)
 
 
-def test_unequal_bag_counts_need_pairs():
-    rng = np.random.default_rng(6)
-    head = small_head(rng)
-    pos, neg = rng.standard_normal((3, DIM)), rng.standard_normal((2, DIM))
-    with pytest.raises(ValueError, match="2 positive bags but 1 negative bags"):
-        backprop(head, pos, neg, LAM1, LAM2, pos_starts=[0, 1])
-    bd, _ = backprop(head, pos, neg, LAM1, LAM2, pos_starts=[0, 1], pairs=[[1, 0]])
-    assert bd.total == pytest.approx(backprop(head, pos[1:], neg, LAM1, LAM2)[0].total)
-
-
-def test_single_pair_is_the_one_bag_call():
-    rng = np.random.default_rng(3)
-    head = small_head(rng)
-    pos, neg = rng.standard_normal((4, DIM)), rng.standard_normal((3, DIM))
-    bd, grads = backprop(head, pos, neg, LAM1, LAM2)
-    bd_starts, grads_starts = backprop(head, pos, neg, LAM1, LAM2, [0], [0])
-    assert bd == bd_starts
-    for a, b in zip(grads.params(), grads_starts.params()):
-        assert np.array_equal(a, b)
+def split_bags(bags: BagSet):
+    """(positive bags, negative bags), each a list of (rows, dim) arrays."""
+    arrays = np.split(bags.embeddings, bags.offsets[1:-1])
+    return ([x for x, p in zip(arrays, bags.is_positive) if p],
+            [x for x, p in zip(arrays, bags.is_positive) if not p])
 
 
 def make_bags(rng, n_pos=5, n_neg=5, dim=DIM):
-    bags = []
+    arrays = []
     for i in range(n_pos + n_neg):
         x = rng.standard_normal((int(rng.integers(1, 9)), dim)) * 0.5
-        positive = i < n_pos
-        if positive:
+        if i < n_pos:
             x[0, 0] += 2.0
-        bags.append(VideoBag(x, positive))
-    return bags
+        arrays.append(x)
+    return BagSet(
+        np.concatenate(arrays), np.cumsum([0] + [len(x) for x in arrays]),
+        np.arange(n_pos + n_neg) < n_pos,
+    )
 
 
 def per_pair_train(bags, config):
     """Oracle copy of the per-pair training loop."""
-    pos = [b.embeddings for b in bags if b.is_positive]
-    neg = [b.embeddings for b in bags if not b.is_positive]
-    head = init_head(bags[0].embeddings.shape[1], config.seed)
+    pos, neg = split_bags(bags)
+    head = init_head(bags.embeddings.shape[1], config.seed)
     params = list(head.params())
     sums = [np.zeros_like(p) for p in params]
     sampler = np.random.default_rng([config.seed, 1])
@@ -407,8 +407,9 @@ def first_draw_epoch(config, n_pos, n_neg, positive, index):
 )
 def test_nan_row_ends_in_non_finite_loss_at_its_epoch(positive, index, row, seed):
     bags = make_bags(np.random.default_rng(seed), n_pos=4, n_neg=4)
-    target = bags[index if positive else 4 + index]
-    target.embeddings[row % len(target.embeddings), 1] = np.nan
+    b = index if positive else 4 + index
+    lo, hi = bags.offsets[b], bags.offsets[b + 1]
+    bags.embeddings[lo + row % (hi - lo), 1] = np.nan
     config = TrainConfig(epochs=6, pairs_per_epoch=3, seed=seed)
     epoch = first_draw_epoch(config, 4, 4, positive, index)
     if epoch is None:
@@ -419,3 +420,73 @@ def test_nan_row_ends_in_non_finite_loss_at_its_epoch(positive, index, row, seed
         train(bags, config)
     with pytest.raises(NonFiniteLoss, match=f"at epoch {epoch}$"):
         per_pair_train(bags, config)
+
+
+def two_sided_backprop(head, pos, neg, pos_starts, neg_starts, pairs, lam1, lam2):
+    """Test-local copy of the two-sided `backprop`: positive rows stacked
+    above negative rows, pairs indexing each side's bags."""
+
+    def gather(starts, size, bags):
+        lengths = np.diff(starts, append=size)[bags]
+        stacked = np.cumsum(lengths) - lengths
+        return np.repeat(starts[bags] - stacked, lengths) + np.arange(lengths.sum()), stacked
+
+    x = np.concatenate((pos, neg))
+    h1, h2, scores = scoring._forward(head, x)
+    pos_idx, ps = gather(pos_starts, len(pos), pairs[:, 0])
+    neg_idx, ns = gather(neg_starts, len(neg), pairs[:, 1])
+    neg_idx += len(pos)
+    p, n = scores[pos_idx], scores[neg_idx]
+    bd = mil_ranking_loss(p, n, lam1, lam2, ps, ns)
+    dp, dn = loss_score_gradients(p, n, lam1, lam2, ps, ns)
+    dscores = np.bincount(
+        np.concatenate((pos_idx, neg_idx)), weights=np.concatenate((dp, dn)),
+        minlength=len(scores),
+    )
+    dz3 = dscores * scores * (1.0 - scores)
+    live = np.flatnonzero(dz3)
+    return bd, scoring._backward(head, x[live], h1[live], h2[live], dz3[live, None])
+
+
+def two_sided_train(bags: BagSet, config):
+    """Test-local copy of the training loop that stacked each side's
+    distinct bags itself: per-side `np.unique`, per-side concatenation."""
+    pos, neg = split_bags(bags)
+    head = init_head(bags.embeddings.shape[1], config.seed)
+    sum_sq = ScoringHead(*(np.zeros_like(p) for p in head.params()))
+    sampler = np.random.default_rng([config.seed, 1])
+    history = np.empty((config.epochs, len(HISTORY_COLUMNS)))
+    pairs = config.pairs_per_epoch
+    for epoch in range(config.epochs):
+        pos_idx = sampler.integers(0, len(pos), size=pairs)
+        neg_idx = sampler.integers(0, len(neg), size=pairs)
+        pos_bags, pos_of_pair = np.unique(pos_idx, return_inverse=True)
+        neg_bags, neg_of_pair = np.unique(neg_idx, return_inverse=True)
+        pos_lens = np.array([len(pos[i]) for i in pos_bags])
+        neg_lens = np.array([len(neg[i]) for i in neg_bags])
+        bd, grads = two_sided_backprop(
+            head,
+            np.concatenate([pos[i] for i in pos_bags]),
+            np.concatenate([neg[i] for i in neg_bags]),
+            np.cumsum(pos_lens) - pos_lens,
+            np.cumsum(neg_lens) - neg_lens,
+            np.column_stack((pos_of_pair, neg_of_pair)),
+            config.lambda1, config.lambda2,
+        )
+        history[epoch] = loss_terms(bd) / pairs
+        adagrad_step(head, grads, sum_sq, config.learning_rate, pairs)
+    return head, history
+
+
+@pytest.mark.parametrize("feature_dim, epochs", [(64, 40), (1024, 4)], ids=["118-d", "1078-d"])
+def test_split_training_is_bitwise_the_two_sided_epoch(tmp_path, feature_dim, epochs):
+    spec = SynthSpec(seed=9, feature_dim=feature_dim)
+    manifest = load_manifest(generate_synthetic(spec, tmp_path))
+    config = TrainConfig(epochs=epochs, seed=4, fusion_mode=FusionMode.GLOBAL_LOCAL_CONCAT)
+    bags = load_split_bags(manifest, "train", config.fusion_mode)
+    assert bags.embeddings.shape[1] == feature_dim + 54
+    run = train(bags, config)
+    head, history = two_sided_train(bags, config)
+    assert run.history.tobytes() == history.tobytes()
+    for p, expected in zip(run.head.params(), head.params()):
+        assert p.tobytes() == expected.tobytes()

@@ -124,6 +124,28 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "video of 16 frames is shorter than one segment of 32 frames" in err
 
+    def test_train_video_without_segment_exits_2(self, dataset, tmp_path, capsys):
+        # 1 clip = 16 frames, shorter than one 32-frame segment
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        write_feature_file(root / "short.ptdf", np.zeros((1, 8)))
+        raw = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        raw["videos"].append({
+            "id": "short", "split": "train", "category": "Pickup",
+            "feature_file": "short.ptdf",
+        })
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        assert main([
+            "train", "--manifest", str(manifest), "--out-checkpoint", str(ckpt),
+            "--epochs", "2", "--pairs-per-epoch", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "video of 16 frames is shorter than one segment of 32 frames" in err
+        # neither the checkpoint nor the run log, nor a temporary file
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
     def test_missing_manifest_exits_2_and_names_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         code = main([

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptde import data
 from ptde.data import (
     CLIP_FRAMES,
     CheckpointMeta,
     load_checkpoint,
     load_manifest,
+    load_split_bags,
     load_video_bag,
     read_feature_file,
     save_checkpoint,
@@ -252,8 +254,7 @@ class TestLoadVideoBag:
         path = make_dataset(tmp_path, [{"id": "a", "clip_count": 6}])
         manifest = load_manifest(path)
         bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
-        assert bag.embeddings.shape == (3, DIM)
-        assert bag.is_positive
+        assert bag.shape == (3, DIM)
 
     def test_aggregation_matches_segmenting_module(self, tmp_path):
         clips = np.random.default_rng(1).standard_normal((4, DIM))
@@ -261,8 +262,8 @@ class TestLoadVideoBag:
         manifest = load_manifest(path)
         bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_ONLY)
         stored = read_feature_file(tmp_path / "feat" / "a.ptdf")
-        np.testing.assert_allclose(bag.embeddings[0], aggregate_segment(stored[:2]))
-        np.testing.assert_allclose(bag.embeddings[1], aggregate_segment(stored[2:4]))
+        np.testing.assert_allclose(bag[0], aggregate_segment(stored[:2]))
+        np.testing.assert_allclose(bag[1], aggregate_segment(stored[2:4]))
 
     def test_missing_pose_for_fusion(self, tmp_path):
         path = make_dataset(tmp_path, [{"id": "a", "clip_count": 6}])
@@ -276,11 +277,11 @@ class TestLoadVideoBag:
         )
         manifest = load_manifest(path)
         bag = load_video_bag(manifest, "a", FusionMode.GLOBAL_LOCAL_CONCAT)
-        assert bag.embeddings.shape == (3, DIM + 54)
+        assert bag.shape == (3, DIM + 54)
         # constant pose at (100, 80, 0.9) on the default 320x240 image
-        np.testing.assert_allclose(bag.embeddings[0, DIM::3], 100.0 / 320)
-        np.testing.assert_allclose(bag.embeddings[0, DIM + 1 :: 3], 80.0 / 240)
-        np.testing.assert_allclose(bag.embeddings[0, DIM + 2 :: 3], 0.9)
+        np.testing.assert_allclose(bag[0, DIM::3], 100.0 / 320)
+        np.testing.assert_allclose(bag[0, DIM + 1 :: 3], 80.0 / 240)
+        np.testing.assert_allclose(bag[0, DIM + 2 :: 3], 0.9)
 
     def test_pose_document_too_short(self, tmp_path):
         path = make_dataset(
@@ -316,13 +317,52 @@ class TestLoadVideoBag:
         manifest = load_manifest(path)
         a = load_video_bag(manifest, "a", FusionMode.GLOBAL_LOCAL_CONCAT)
         b = load_video_bag(manifest, "a", FusionMode.GLOBAL_LOCAL_CONCAT)
-        assert np.array_equal(a.embeddings, b.embeddings)
+        assert np.array_equal(a, b)
 
     def test_ground_truth_carried(self, tmp_path):
         path = make_dataset(
             tmp_path, [{"id": "a", "clip_count": 6, "annotations": [0, 1, 0]}]
         )
         assert load_manifest(path).record("a").annotations == (0, 1, 0)
+
+
+class TestLoadSplitBags:
+    VIDEOS = [
+        {"id": "a", "clip_count": 6, "pose_frames": 96},
+        {"id": "t", "clip_count": 4, "pose_frames": 64, "split": "test"},
+        {"id": "b", "clip_count": 2, "pose_frames": 32, "category": "Pickup"},
+        {"id": "c", "clip_count": 8, "pose_frames": 128, "category": "Delivery"},
+    ]
+
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_stacks_the_split_bags_in_manifest_order(self, tmp_path, monkeypatch, mode):
+        manifest = load_manifest(make_dataset(tmp_path, self.VIDEOS))
+        loaded = []
+
+        def counted(manifest, video_id, fusion_mode):
+            loaded.append(video_id)
+            return load_video_bag(manifest, video_id, fusion_mode)
+
+        monkeypatch.setattr(data, "load_video_bag", counted)
+        bags = load_split_bags(manifest, "train", mode)
+        assert loaded == ["a", "b", "c"]
+        assert bags.offsets.tolist() == [0, 3, 4, 8]
+        assert bags.is_positive.tolist() == [True, False, False]
+        expected = [load_video_bag(manifest, v, mode) for v in loaded]
+        assert np.array_equal(bags.embeddings, np.concatenate(expected))
+
+    def test_empty_split(self, tmp_path):
+        manifest = load_manifest(make_dataset(tmp_path, self.VIDEOS[:1]))
+        bags = load_split_bags(manifest, "test", FusionMode.GLOBAL_LOCAL_CONCAT)
+        assert bags.embeddings.shape == (0, DIM + 54)
+        assert bags.offsets.tolist() == [0]
+        assert bags.is_positive.shape == (0,)
+
+    def test_video_shorter_than_segment(self, tmp_path):
+        videos = [{"id": "a"}, {"id": "b", "clip_count": 1}]
+        manifest = load_manifest(make_dataset(tmp_path, videos))
+        with pytest.raises(EmptyVideo, match="shorter than one segment"):
+            load_split_bags(manifest, "train", FusionMode.GLOBAL_ONLY)
 
 
 class TestCheckpoints:

@@ -40,7 +40,7 @@ from ptde.metrics import (
     write_roc_csv,
     write_roc_svg,
 )
-from ptde.scoring import init_head, score_segments
+from ptde.scoring import ScoringHead, init_head, score_segments
 from ptde.trainer import TrainConfig
 
 TINY = [
@@ -105,9 +105,8 @@ def old_roc_curve(scores, labels):
 def old_scored_test_segments(manifest, head, fusion_mode):
     segments = []
     for rec in manifest.split_records("test"):
-        bag = load_video_bag(manifest, rec.video_id, fusion_mode)
-        scores = score_segments(head, bag.embeddings)
-        if bag.is_positive:
+        scores = score_segments(head, load_video_bag(manifest, rec.video_id, fusion_mode))
+        if rec.is_positive:
             if rec.annotations is None:
                 raise MissingGroundTruth(
                     f"test video {rec.video_id!r} has no segment annotations"
@@ -346,7 +345,7 @@ def test_blocks_end_on_video_boundaries(tmp_path, monkeypatch):
     split = scored_test_segments(manifest, head, FusionMode.GLOBAL_ONLY)
     assert calls == [(b, [0, b - 100]), (1, None), (b + 44, None), (b, [0, 2]), (3, None)]
     own = [
-        score_segments(head, load_video_bag(manifest, v["id"], FusionMode.GLOBAL_ONLY).embeddings)
+        score_segments(head, load_video_bag(manifest, v["id"], FusionMode.GLOBAL_ONLY))
         for v, n in zip(videos, lengths) if n
     ]
     assert np.array_equal(split.scores, np.concatenate(own))
@@ -360,6 +359,23 @@ score_values = st.one_of(
     st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)
 )
 labelled = st.lists(st.tuples(score_values, st.booleans()), min_size=0, max_size=40)
+
+
+def test_small_matrix_widths_score_within_1e_13():
+    """At embedding widths of about 386-974, OpenBLAS can give a short
+    bag's own product to its small-matrix kernel, which sums in another
+    order than the stacked gemm, so there a stacked bag's scores are held
+    to 1e-13 relative of its own call's, not bitwise (up to 7e-15 seen)."""
+    dim = 512
+    rng = np.random.default_rng(dim)
+    head = ScoringHead(*(
+        p + rng.uniform(-0.1, 0.1, p.shape) for p in init_head(dim, 1).params()
+    ))
+    lengths = rng.integers(1, 9, size=40)
+    bags = [rng.standard_normal((n, dim)) for n in lengths]
+    stacked = score_segments(head, np.concatenate(bags), np.cumsum(lengths) - lengths)
+    own = np.concatenate([score_segments(head, b) for b in bags])
+    assert np.all(np.abs(stacked - own) <= 1e-13 * np.abs(own))
 
 
 @pytest.fixture(scope="module")

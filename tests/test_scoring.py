@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptde.cli import SCORE_BLOCK_ROWS
-from ptde.errors import DimensionMismatch, EmptyBag
+from ptde.errors import DimensionMismatch
 from ptde.loss import mil_ranking_loss
 from ptde.scoring import (
     HIDDEN1,
@@ -170,13 +170,18 @@ def loss_at(head, pos, neg, lam1, lam2):
     return hinge + lam1 * smooth + lam2 * sum(ps)
 
 
+def one_pair(head, pos, neg, lam1, lam2):
+    """`backprop` over one (positive, negative) pair of bags."""
+    return backprop(head, np.concatenate((pos, neg)), [0, len(pos)], [[0, 1]], lam1, lam2)
+
+
 class TestBackprop:
     def test_loss_matches_loss_module(self):
         rng = np.random.default_rng(8)
         head = random_head(rng, 8)
         pos = rng.standard_normal((4, 8))
         neg = rng.standard_normal((3, 8))
-        breakdown, _ = backprop(head, pos, neg, 8e-5, 8e-5)
+        breakdown, _ = one_pair(head, pos, neg, 8e-5, 8e-5)
         via_scores = mil_ranking_loss(
             score_segments(head, pos), score_segments(head, neg), 8e-5, 8e-5
         )
@@ -184,19 +189,20 @@ class TestBackprop:
         assert breakdown.hinge == pytest.approx(via_scores.hinge, abs=1e-12)
 
     def test_empty_bag(self):
+        """An empty bag is a `starts` error, as in `score_segments`."""
         head = init_head(8, 0)
-        with pytest.raises(EmptyBag):
-            backprop(head, np.zeros((0, 8)), np.ones((2, 8)), 0, 0)
+        with pytest.raises(ValueError, match="starts"):
+            backprop(head, np.ones((2, 8)), [0, 0], [[0, 1]], 0, 0)
 
     def test_dimension_mismatch(self):
         head = init_head(8, 0)
         with pytest.raises(DimensionMismatch):
-            backprop(head, np.zeros((2, 9)), np.ones((2, 8)), 0, 0)
+            backprop(head, np.zeros((4, 9)), [0, 2], [[0, 1]], 0, 0)
 
     def test_gradient_shapes_congruent(self):
         rng = np.random.default_rng(10)
         head = random_head(rng, 8)
-        _, grads = backprop(head, rng.standard_normal((2, 8)),
+        _, grads = one_pair(head, rng.standard_normal((2, 8)),
                             rng.standard_normal((2, 8)), 8e-5, 8e-5)
         assert isinstance(grads, ScoringHead)
         for p, g in zip(head.params(), grads.params()):
@@ -209,7 +215,7 @@ class TestBackprop:
         pos = rng.standard_normal((3, 5))
         neg = rng.standard_normal((2, 5))
         lam1, lam2 = 8e-5, 8e-5
-        _, grads = backprop(head, pos, neg, lam1, lam2)
+        _, grads = one_pair(head, pos, neg, lam1, lam2)
         step = 1e-5
         for p, g in zip(head.params(), grads.params()):
             flat_p = p.ravel()

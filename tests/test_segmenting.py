@@ -56,7 +56,7 @@ def segment_rows(manifest, clips):
         aggregate_segment(clips[i * per:(i + 1) * per])
         for i in range(manifest.record("a").num_segments)
     ]
-    return bag.embeddings, np.array(expected).reshape(-1, clips.shape[1])
+    return bag, np.array(expected).reshape(-1, clips.shape[1])
 
 
 class TestPlanSegments:

@@ -193,19 +193,19 @@ class TestGenerate:
         vid = manifest.videos[0].video_id
         plain = load_video_bag(manifest, vid, FusionMode.GLOBAL_ONLY)
         fused = load_video_bag(manifest, vid, FusionMode.GLOBAL_LOCAL_CONCAT)
-        assert plain.embeddings.shape[1] == 8
-        assert fused.embeddings.shape[1] == 8 + 54
+        assert plain.shape[1] == 8
+        assert fused.shape[1] == 8 + 54
         # the appearance part is identical across modes
-        np.testing.assert_array_equal(fused.embeddings[:, :8], plain.embeddings)
+        np.testing.assert_array_equal(fused[:, :8], plain)
         # pose values are normalized coordinates/confidences
-        assert np.all(fused.embeddings[:, 8:] >= 0.0)
-        assert np.all(fused.embeddings[:, 8:] <= 1.0)
+        assert np.all(fused[:, 8:] >= 0.0)
+        assert np.all(fused[:, 8:] <= 1.0)
 
     def test_train_split_has_both_classes(self, tmp_path):
         manifest = load_manifest(generate_synthetic(small_spec(), tmp_path))
         bags = load_split_bags(manifest, "train", FusionMode.GLOBAL_ONLY)
-        assert any(b.is_positive for b in bags)
-        assert any(not b.is_positive for b in bags)
+        assert bags.is_positive.any()
+        assert not bags.is_positive.all()
 
     def test_generator_metadata_snapshot(self, tmp_path):
         spec = small_spec()

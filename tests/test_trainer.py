@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ptde.data import VideoBag
+from ptde.data import BagSet
 from ptde.errors import (
-    DimensionMismatch,
     InsufficientData,
     NonFiniteLoss,
     ShapeMismatch,
@@ -37,15 +36,22 @@ def make_bags(rng, n_pos=6, n_neg=6, dim=8, separation=4.0, segments=4):
     """In-memory bags: theft bags contain one shifted-cluster segment."""
     direction = np.zeros(dim)
     direction[0] = 1.0
-    bags = []
+    arrays = []
     for i in range(n_pos):
         x = rng.standard_normal((segments, dim)) * 0.3
         x[rng.integers(0, segments)] += separation * direction
-        bags.append(VideoBag(x, True))
+        arrays.append(x)
     for i in range(n_neg):
-        x = rng.standard_normal((segments, dim)) * 0.3
-        bags.append(VideoBag(x, False))
-    return bags
+        arrays.append(rng.standard_normal((segments, dim)) * 0.3)
+    return BagSet(
+        np.concatenate(arrays), np.cumsum([0] + [len(x) for x in arrays]),
+        np.arange(n_pos + n_neg) < n_pos,
+    )
+
+
+def bag_list(bags):
+    """(embeddings, is_positive) of each bag of a BagSet."""
+    return list(zip(np.split(bags.embeddings, bags.offsets[1:-1]), bags.is_positive))
 
 
 def copy_head(head):
@@ -206,21 +212,18 @@ class TestTrain:
         assert run.history.shape == (1, 4)
 
     def test_missing_class(self):
-        bags = [b for b in make_bags(np.random.default_rng(3)) if b.is_positive]
         with pytest.raises(InsufficientData):
-            train(bags, quick_config())
+            train(make_bags(np.random.default_rng(3), n_neg=0), quick_config())
 
-    def test_mixed_dimensions(self):
-        rng = np.random.default_rng(4)
-        bags = make_bags(rng)
-        bags.append(VideoBag(rng.standard_normal((2, 5)), False))
-        with pytest.raises(DimensionMismatch):
-            train(bags, quick_config())
+    def test_empty_split(self):
+        with pytest.raises(InsufficientData, match="0 positive / 0 negative"):
+            train(BagSet(np.empty((0, 8)), np.zeros(1, dtype=np.int64),
+                         np.zeros(0, dtype=bool)), quick_config())
 
     def test_non_finite_loss_aborts_with_epoch(self):
         rng = np.random.default_rng(5)
         bags = make_bags(rng, n_pos=2, n_neg=2)
-        bags.append(VideoBag(np.full((3, 8), np.nan), True))
+        bags.embeddings[: bags.offsets[1]] = np.nan  # the first positive bag
         with pytest.raises(NonFiniteLoss, match="epoch"):
             train(bags, quick_config(epochs=50))
 
@@ -229,19 +232,18 @@ class TestTrain:
         bags = make_bags(rng, n_pos=8, n_neg=8)
         run = train(bags, quick_config(epochs=60, pairs_per_epoch=8))
         # fresh bags from the same distribution
-        test_bags = make_bags(np.random.default_rng(7), n_pos=6, n_neg=6)
+        test_bags = bag_list(make_bags(np.random.default_rng(7), n_pos=6, n_neg=6))
         hits = 0
         pairs = 0
-        for pb in test_bags:
-            if not pb.is_positive:
+        for pb, pb_positive in test_bags:
+            if not pb_positive:
                 continue
-            for nb in test_bags:
-                if nb.is_positive:
+            for nb, nb_positive in test_bags:
+                if nb_positive:
                     continue
                 pairs += 1
                 hits += ranking_satisfied(
-                    score_segments(run.head, pb.embeddings),
-                    score_segments(run.head, nb.embeddings),
+                    score_segments(run.head, pb), score_segments(run.head, nb)
                 )
         assert hits / pairs >= 0.8
 
