@@ -22,7 +22,7 @@ from .data import (
     load_video_bag,
     save_checkpoint,
 )
-from .errors import MissingGroundTruth, PtdeError
+from .errors import IoFailure, MissingGroundTruth, PtdeError
 from .fusion import FusionMode
 from .metrics import (
     CATEGORIES,
@@ -115,6 +115,30 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     return ScoredSplit(scores, labels, categories, offsets)
 
 
+def _check_paths(inputs, outputs) -> None:
+    """Refuse a command's output paths before it reads any input.
+
+    `inputs` and `outputs` map flags to paths; an output flag given no path
+    is skipped. An output that names the same file as an earlier path is a
+    usage error, and one that cannot be written, because its directory is
+    missing or it is a directory itself, is a data error.
+    """
+    named = [(flag, path, Path(path).resolve()) for flag, path in inputs.items()]
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        out = Path(path)
+        resolved = out.resolve()
+        for other, other_path, other_resolved in named:
+            if resolved == other_resolved:
+                raise _UsageError(f"{flag} and {other} name the same file {other_path}")
+        if not out.parent.is_dir():
+            raise IoFailure(f"cannot write {flag} {path}: {out.parent} is not a directory")
+        if out.is_dir():
+            raise IoFailure(f"cannot write {flag} {path}: it is a directory")
+        named.append((flag, path, resolved))
+
+
 # each category's word in the video-count flags, as in --train-theft
 _COUNT_WORDS = {c: "theft" if c == THEFT_CATEGORY else c.lower() for c in CATEGORIES}
 
@@ -154,10 +178,10 @@ def _cmd_train(args) -> int:
         fusion_mode=fusion,
     )
     log_path = args.out_log if args.out_log else f"{args.out_checkpoint}.log"
-    if Path(log_path).resolve() == Path(args.out_checkpoint).resolve():
-        raise _UsageError(
-            f"--out-log and --out-checkpoint name the same file {args.out_checkpoint}"
-        )
+    _check_paths(
+        {"--manifest": args.manifest},
+        {"--out-checkpoint": args.out_checkpoint, "--out-log": log_path},
+    )
     manifest = load_manifest(args.manifest)
     bags = load_split_bags(manifest, "train", fusion)
     run = train(bags, config)
@@ -191,6 +215,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roc(args) -> int:
+    _check_paths(
+        {"--checkpoint": args.checkpoint, "--manifest": args.manifest},
+        {"--out-csv": args.out_csv, "--out-svg": args.out_svg},
+    )
     head, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     segments = scored_test_segments(manifest, head, meta.fusion_mode)

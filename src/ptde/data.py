@@ -71,16 +71,19 @@ SPLITS = ("train", "test")
 # ---------------------------------------------------------------- features
 
 def write_feature_file(path, clips) -> None:
-    """Write one video's clip features as a PTDF file (float32 payload)."""
+    """Write one video's clip features as a PTDF file (float32 payload).
+
+    The file goes through `write_atomic`, so a failed write leaves the
+    previous file, or none, and no partial one. A `clips` array that is not
+    2-D raises ValueError before any file is touched.
+    """
     clips = np.ascontiguousarray(clips, dtype="<f4")
     if clips.ndim != 2:
         raise ValueError(f"clips must be a (count, dim) array, got {clips.shape}")
     header = _FEATURE_HEADER.pack(
         FEATURE_MAGIC, FEATURE_VERSION, clips.shape[0], clips.shape[1]
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(clips.tobytes())
+    write_atomic(path, [header, clips.tobytes()])
 
 
 def _check_feature_header(path, head: bytes, size: int) -> tuple[int, int]:
@@ -361,8 +364,9 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
     num_segments = rec.num_segments
     if num_segments == 0:
         raise EmptyVideo(
-            f"video of {rec.clip_count * manifest.clip_length} frames is shorter "
-            f"than one segment of {manifest.segment_length} frames"
+            f"{rec.feature_path} ({video_id!r}): video of "
+            f"{rec.clip_count * manifest.clip_length} frames is shorter than one "
+            f"segment of {manifest.segment_length} frames"
         )
     clips_per_segment = manifest.segment_length // manifest.clip_length
     appearance = aggregate_segment(

@@ -108,6 +108,6 @@ class CorruptCheckpoint(PtdeError):
     pass
 
 
-# synthetic data generation
+# output files: synth's dataset tree and the CLI's output paths
 class IoFailure(PtdeError):
     pass

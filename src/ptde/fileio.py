@@ -1,4 +1,9 @@
-"""Crash-safe file writes."""
+"""Crash-safe file writes.
+
+`write_atomic` is the only code in ptde that opens a file for writing:
+PTDF feature files, checkpoints, run logs, ROC CSV and SVG files, and
+synth's pose documents and manifest all go through it.
+"""
 
 import os
 from pathlib import Path

@@ -143,6 +143,8 @@ class TestTrainCommand:
         ]) == 2
         err = capsys.readouterr().err
         assert "video of 16 frames is shorter than one segment of 32 frames" in err
+        # the file and the video id, so the video can be found in a large split
+        assert f"error: {root / 'short.ptdf'} ('short'): video of 16 frames" in err
         # neither the checkpoint nor the run log, nor a temporary file
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
@@ -392,6 +394,25 @@ class TestUsageErrors:
         assert code == 1
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dim", "0"], "feature_dim must be >= 1"),
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+            (["--train-pickup", "-1"], "train_counts must be non-negative"),
+            (["--test-pickup", "0", "--test-delivery", "0", "--test-irrelevant", "0"],
+             "test split needs at least one normal video"),
+        ],
+        ids=["dim-0", "negative-seed", "negative-count", "no-normal-video"],
+    )
+    def test_invalid_synth_spec(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {message}" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, dataset, checkpoint, capsys, value):
         argv = ["eval", "--checkpoint", str(checkpoint), "--manifest", str(dataset)]
@@ -441,6 +462,169 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestOutputPaths:
+    """`train` and `roc` check their output paths before any input is read.
+    An output that names the same file as another of the command's paths
+    exits 1, naming both flags and the file; an output whose directory is
+    missing, or that is a directory, exits 2 naming it. Either way no file
+    is written and the inputs keep their bytes."""
+
+    CASES = {
+        "roc-csv-is-svg": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/r", "--out-svg", "{root}/r"],
+            1, "--out-svg and --out-csv name the same file {root}/r",
+        ),
+        "roc-csv-is-checkpoint": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{ckpt}"],
+            1, "--out-csv and --checkpoint name the same file {ckpt}",
+        ),
+        "train-checkpoint-is-manifest": (
+            ["train", "--manifest", "{manifest}", "--out-checkpoint", "{manifest}"],
+            1, "--out-checkpoint and --manifest name the same file {manifest}",
+        ),
+        "train-log-is-manifest": (
+            ["train", "--manifest", "{manifest}", "--out-checkpoint", "{root}/m2.ckpt",
+             "--out-log", "{root}/features/../manifest.json"],
+            1, "--out-log and --manifest name the same file {manifest}",
+        ),
+        "train-checkpoint-in-missing-dir": (
+            ["train", "--manifest", "{manifest}",
+             "--out-checkpoint", "{root}/absent/m.ckpt"],
+            2, "error: cannot write --out-checkpoint {root}/absent/m.ckpt: "
+               "{root}/absent is not a directory",
+        ),
+        "train-log-is-a-directory": (
+            ["train", "--manifest", "{manifest}", "--out-checkpoint", "{root}/m2.ckpt",
+             "--out-log", "{root}/features"],
+            2, "error: cannot write --out-log {root}/features: it is a directory",
+        ),
+        "roc-csv-in-missing-dir": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/absent/r.csv"],
+            2, "error: cannot write --out-csv {root}/absent/r.csv: "
+               "{root}/absent is not a directory",
+        ),
+        "roc-svg-is-a-directory": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/r.csv", "--out-svg", "{root}/poses"],
+            2, "error: cannot write --out-svg {root}/poses: it is a directory",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_before_any_work(
+        self, dataset, checkpoint, tmp_path, monkeypatch, capsys, case
+    ):
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        shutil.copy(checkpoint, root / "m.ckpt")
+        names = dict(root=root, manifest=root / "manifest.json", ckpt=root / "m.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output paths were checked")
+
+        for name in ("load_checkpoint", "load_manifest", "train", "scored_test_segments"):
+            monkeypatch.setattr(f"ptde.cli.{name}", refuse)
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        argv, code, needle = self.CASES[case]
+        assert main([arg.format(**names) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle.format(**names) in captured.err
+        after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert after == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
+class TestContractErrors:
+    """A feature file header, manifest or pose document that breaks its
+    contract stops `ptde train` with exit 2, naming the file, and in a
+    manifest the video index where there is one. No checkpoint is written."""
+
+    @pytest.fixture
+    def root(self, dataset, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        return root
+
+    @staticmethod
+    def _train_exits_2(root, tmp_path, capsys, needle):
+        ckpt = tmp_path / "m.ckpt"
+        assert main([
+            "train", "--manifest", str(root / "manifest.json"),
+            "--out-checkpoint", str(ckpt), "--epochs", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (None, None, "header truncated at byte 10"),
+            (4, 2, "unsupported feature version 2"),
+            (12, 0, "feature dimension 0"),
+        ],
+        ids=["truncated", "version", "dimension-0"],
+    )
+    def test_feature_header(self, root, tmp_path, capsys, offset, value, message):
+        path = root / "features" / "train_packagetheft_000.ptdf"
+        data = path.read_bytes()
+        if offset is None:
+            data = data[:10]
+        else:
+            data = data[:offset] + struct.pack("<I", value) + data[offset + 4 :]
+        path.write_bytes(data)
+        self._train_exits_2(root, tmp_path, capsys, f"error: {path}: {message}")
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda m: m.__delitem__("segment_length"),
+             "{manifest}: missing field 'segment_length'"),
+            (lambda m: m.update(feature_dim=True),
+             "{manifest}: field 'feature_dim' must be an integer"),
+            (lambda m: m["videos"][2].update(id=7),
+             "{manifest} videos[2]: field 'id' has type int"),
+            (lambda m: [m], "{manifest}: top level must be an object"),
+            (lambda m: m.update(feature_dim=0), "{manifest}: feature_dim must be >= 1"),
+            (lambda m: m.update(metadata=[]), "{manifest}: metadata must be an object"),
+            (lambda m: m["videos"].__setitem__(1, "train_packagetheft_001"),
+             "{manifest} videos[1]: must be an object"),
+            (lambda m: m["videos"][3].update(split="val"),
+             "{manifest} videos[3]: split must be one of ('train', 'test')"),
+            (lambda m: m["videos"][0].update(pose_file="poses/absent.json"),
+             "error: {root}/poses/absent.json\n"),
+        ],
+        ids=[
+            "missing-field", "boolean-integer", "field-type", "top-level",
+            "feature-dim-0", "metadata", "video-not-object", "split",
+            "missing-pose-file",
+        ],
+    )
+    def test_manifest(self, root, tmp_path, capsys, edit, needle):
+        path = root / "manifest.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        replaced = edit(raw)
+        path.write_text(json.dumps(raw if replaced is None else replaced), encoding="utf-8")
+        needle = needle.format(manifest=path, root=root)
+        self._train_exits_2(root, tmp_path, capsys, needle)
+
+    def test_pose_document_with_a_non_ascii_character(self, root, tmp_path, capsys):
+        # the byte pass rejects it; the json walk names the value
+        path = root / "poses" / "train_packagetheft_000.json"
+        doc = path.read_text(encoding="utf-8")
+        value = "\u00e9t\u00e9"
+        path.write_text(doc[:4] + f'"{value}"' + doc[doc.index(",", 4) :], encoding="utf-8")
+        self._train_exits_2(
+            root, tmp_path, capsys,
+            f"error: {path}: frame 0 person 0 joint 0: non-numeric value {value!r}",
+        )
+
+
 class TestCheckpointHeader:
     def test_width_product_past_int64_exits_2(self, dataset, tmp_path, capsys):
         # input_dim = hidden1 = 2**32 - 1 wraps the int64 size to 2 floats
@@ -449,6 +633,34 @@ class TestCheckpointHeader:
         path.write_bytes(header + bytes(16))
         assert main(["eval", "--checkpoint", str(path), "--manifest", str(dataset)]) == 2
         assert f"error: {path}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("truncated", "header truncated at byte 10"),
+            ("fusion-tag", "unknown fusion tag 7"),
+            ("non-finite", "non-finite parameter values"),
+        ],
+    )
+    def test_bad_checkpoint_exits_2(self, dataset, tmp_path, capsys, damage, message):
+        path = tmp_path / "model.ckpt"
+        head = init_head(8, seed=0)
+        if damage == "non-finite":
+            head.w2[3, 1] = np.inf
+        save_checkpoint(head, TrainConfig(), path)
+        data = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(data[:10])
+        elif damage == "fusion-tag":
+            path.write_bytes(data[:24] + struct.pack("<I", 7) + data[28:])
+        for command in ("eval", "score"):
+            argv = [command, "--checkpoint", str(path), "--manifest", str(dataset)]
+            if command == "score":
+                argv += ["--video-id", "test_packagetheft_000"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {path}: {message}" in captured.err
 
 
 class TestFlagDefaults:

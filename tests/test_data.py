@@ -85,7 +85,29 @@ def make_dataset(root, videos, segment_length=32, feature_dim=DIM, extra=None):
     return path
 
 
+def in_place_write_feature_file(path, clips):
+    """The writer that `write_feature_file` replaced: it opened the target
+    in place, so a failed write could leave a partial file."""
+    clips = np.ascontiguousarray(clips, dtype="<f4")
+    if clips.ndim != 2:
+        raise ValueError(f"clips must be a (count, dim) array, got {clips.shape}")
+    header = struct.pack("<4sIII", b"PTDF", 1, clips.shape[0], clips.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(clips.tobytes())
+
+
 class TestFeatureFiles:
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (7, 64), (3, 4096)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_match_the_in_place_writer(self, tmp_path, shape, dtype, order):
+        clips = np.random.default_rng(7).standard_normal(shape).astype(dtype, order=order)
+        write_feature_file(tmp_path / "new.ptdf", clips)
+        in_place_write_feature_file(tmp_path / "old.ptdf", clips)
+        assert (tmp_path / "new.ptdf").read_bytes() == (tmp_path / "old.ptdf").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.ptdf", "old.ptdf"]
+
     def test_round_trip(self, tmp_path):
         clips = np.random.default_rng(0).standard_normal((5, DIM)).astype(np.float32)
         path = tmp_path / "x.ptdf"

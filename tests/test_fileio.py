@@ -1,7 +1,10 @@
+import errno
+
 import numpy as np
 import pytest
 
-from ptde.data import load_checkpoint, save_checkpoint
+from ptde import fileio
+from ptde.data import load_checkpoint, read_feature_file, save_checkpoint, write_feature_file
 from ptde.fileio import write_atomic
 from ptde.fusion import FusionMode
 from ptde.scoring import init_head
@@ -46,6 +49,41 @@ class TestWriteAtomic:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["head.ckpt"]
         head, _ = load_checkpoint(path)
         assert np.array_equal(head.w1, init_head(6, 1).w1)
+
+    @pytest.mark.parametrize(
+        "failure",
+        [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "interrupt"],
+    )
+    def test_failed_feature_file_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch, failure
+    ):
+        path = tmp_path / "clips.ptdf"
+        write_feature_file(path, np.ones((3, 4)))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise failure
+
+        monkeypatch.setattr(fileio.os, "replace", fail)
+        with pytest.raises(type(failure)):
+            write_feature_file(path, np.zeros((5, 4)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clips.ptdf"]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(read_feature_file(path), np.ones((3, 4)))
+
+    def test_feature_file_shape_error_touches_no_file(self, tmp_path):
+        path = tmp_path / "clips.ptdf"
+        write_feature_file(path, np.ones((3, 4)))
+        before = path.read_bytes()
+        message = r"clips must be a \(count, dim\) array, got \(2, 3, 4\)"
+        with pytest.raises(ValueError, match=message):
+            write_feature_file(path, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            write_feature_file(tmp_path / "new.ptdf", np.zeros((2, 3, 4)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clips.ptdf"]
 
     def test_error_names_the_requested_file(self, tmp_path):
         path = tmp_path / "missing" / "out.bin"

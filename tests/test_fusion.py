@@ -31,6 +31,10 @@ class TestFuse:
         for i in range(54):
             assert out[2 + i] == pose[i]
 
+    def test_scalar_appearance(self):
+        with pytest.raises(DimensionMismatch, match="must be a vector, got a scalar"):
+            fuse(np.float64(1.0), None, FusionMode.GLOBAL_ONLY)
+
     def test_missing_pose(self):
         with pytest.raises(MissingPose):
             fuse(np.zeros(8), None, FusionMode.GLOBAL_LOCAL_CONCAT)

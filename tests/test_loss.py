@@ -56,6 +56,11 @@ class TestMilRankingLoss:
         with pytest.raises(EmptyBag):
             mil_ranking_loss([0.5], [], 0, 0)
 
+    def test_two_dimensional_scores(self):
+        message = r"positive scores must be a flat list, got shape \(1, 2\)"
+        with pytest.raises(ValueError, match=message):
+            mil_ranking_loss([[0.2, 0.8]], [0.5], 0, 0)
+
     def test_negative_lambda(self):
         with pytest.raises(NegativeLambda):
             mil_ranking_loss([0.5], [0.5], -1e-5, 0)

@@ -113,6 +113,12 @@ class TestScore:
             score_segments(head, np.zeros((1, 9)))
         with pytest.raises(DimensionMismatch):
             score_segments(head, np.zeros((4, 9)), starts=[0, 2])
+        # a flat array is one embedding, not a bag; only an empty one is a bag
+        with pytest.raises(
+            DimensionMismatch,
+            match=r"segment bag must be a \(segments, dim\) array, got shape \(8,\)",
+        ):
+            score_segments(head, np.zeros(8))
 
 
 class TestScoreSegments:

@@ -128,6 +128,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(**kwargs)
 
+    def test_counts_must_cover_every_category(self):
+        counts = dict(SMALL_COUNTS["test_counts"])
+        del counts["Irrelevant"]
+        with pytest.raises(ValueError, match=r"test_counts must cover exactly \('PackageTheft',"):
+            small_spec(test_counts=counts)
+
     def test_needs_both_classes(self):
         counts = dict(SMALL_COUNTS["train_counts"])
         counts["PackageTheft"] = 0
