@@ -118,10 +118,10 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
 def _check_paths(inputs, outputs) -> None:
     """Refuse a command's output paths before it reads any input.
 
-    `inputs` and `outputs` map flags to paths; an output flag given no path
-    is skipped. An output that names the same file as an earlier path is a
-    usage error, and one that cannot be written, because its directory is
-    missing or it is a directory itself, is a data error.
+    `inputs` and `outputs` map flags, or other names, to paths; an output
+    given no path is skipped. An output that names the same file as an
+    earlier path is a usage error, and one that cannot be written, because
+    its directory is missing or it is a directory itself, is a data error.
     """
     named = [(flag, path, Path(path).resolve()) for flag, path in inputs.items()]
     for flag, path in outputs.items():
@@ -137,6 +137,19 @@ def _check_paths(inputs, outputs) -> None:
         if out.is_dir():
             raise IoFailure(f"cannot write {flag} {path}: it is a directory")
         named.append((flag, path, resolved))
+
+
+def _check_manifest_files(manifest, outputs) -> None:
+    """`_check_paths` for outputs against the files the manifest names. As
+    `load_manifest` found each of them, only an output that exists can be one."""
+    if any(path is not None and os.path.exists(path) for path in outputs.values()):
+        files = {
+            f"the {field} of video {rec.video_id!r}": path
+            for rec in manifest.videos
+            for field, path in (("feature_file", rec.feature_path), ("pose_file", rec.pose_path))
+            if path is not None
+        }
+        _check_paths(files, outputs)
 
 
 # each category's word in the video-count flags, as in --train-theft
@@ -178,11 +191,10 @@ def _cmd_train(args) -> int:
         fusion_mode=fusion,
     )
     log_path = args.out_log if args.out_log else f"{args.out_checkpoint}.log"
-    _check_paths(
-        {"--manifest": args.manifest},
-        {"--out-checkpoint": args.out_checkpoint, "--out-log": log_path},
-    )
+    outputs = {"--out-checkpoint": args.out_checkpoint, "--out-log": log_path}
+    _check_paths({"--manifest": args.manifest}, outputs)
     manifest = load_manifest(args.manifest)
+    _check_manifest_files(manifest, outputs)
     bags = load_split_bags(manifest, "train", fusion)
     run = train(bags, config)
     save_checkpoint(run.head, config, args.out_checkpoint)
@@ -215,12 +227,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    _check_paths(
-        {"--checkpoint": args.checkpoint, "--manifest": args.manifest},
-        {"--out-csv": args.out_csv, "--out-svg": args.out_svg},
-    )
+    outputs = {"--out-csv": args.out_csv, "--out-svg": args.out_svg}
+    _check_paths({"--checkpoint": args.checkpoint, "--manifest": args.manifest}, outputs)
     head, meta = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
+    _check_manifest_files(manifest, outputs)
     segments = scored_test_segments(manifest, head, meta.fusion_mode)
     curve = roc_curve(segments.scores, segments.labels)
     write_roc_csv(curve, args.out_csv)

@@ -13,6 +13,9 @@ positive bag only.
 
 A batch of pairs is two flat score lists plus the first index of each bag
 (`pos_starts`, `neg_starts`); the terms are then summed over the pairs.
+
+The value and its gradient read one pass of pair terms (checked sides, bag
+maxima, margins, smoothness differences), so they cannot drift apart.
 """
 
 from dataclasses import dataclass
@@ -45,13 +48,8 @@ def _validate_bag(scores, name: str) -> np.ndarray:
     return scores
 
 
-def _validate_lambdas(lambda1: float, lambda2: float) -> None:
-    if lambda1 < 0 or lambda2 < 0:
-        raise NegativeLambda(f"lambdas must be >= 0, got {lambda1} and {lambda2}")
-
-
-def _validate_side(scores, starts, name: str):
-    """(scores, starts) of one side; a side without starts is one bag."""
+def _side(scores, starts, name: str):
+    """(scores, starts, bag maxima) of one side; a side without starts is one bag."""
     starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts)
     if starts.size == 0:
         raise EmptyBatch("batch contains no bag pairs")
@@ -60,24 +58,22 @@ def _validate_side(scores, starts, name: str):
         raise ValueError(f"{name} starts must be a flat list of integers from 0")
     if np.any(np.diff(starts, append=scores.size) <= 0):
         raise EmptyBag(f"{name} starts give a bag with no segment scores")
-    return scores, starts
+    return scores, starts, np.maximum.reduceat(scores, starts)
 
 
-def _validate_pairs(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
-    """[pos, pos_starts, neg, neg_starts], one bag per pair and side."""
-    pos, ps = _validate_side(pos_scores, pos_starts, "positive")
-    neg, ns = _validate_side(neg_scores, neg_starts, "negative")
+def _pair_terms(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
+    """Check both sides, the pair counts and the lambdas; return the sides as
+    `_side` gives them, each pair's margin 1 - max(pos) + max(neg), and the
+    differences pos[i] - pos[i + 1], zero where row i + 1 starts a bag."""
+    pos, ps, pmax = _side(pos_scores, pos_starts, "positive")
+    neg, ns, nmax = _side(neg_scores, neg_starts, "negative")
     if ps.size != ns.size:
         raise ValueError(f"{ps.size} positive bags but {ns.size} negative bags")
-    _validate_lambdas(lambda1, lambda2)
-    return pos, ps, neg, ns
-
-
-def _smoothness_diffs(pos, ps) -> np.ndarray:
-    """pos[i] - pos[i + 1], zero where row i + 1 starts the next bag."""
+    if lambda1 < 0 or lambda2 < 0:
+        raise NegativeLambda(f"lambdas must be >= 0, got {lambda1} and {lambda2}")
     d = pos[:-1] - pos[1:]
     d[ps[1:] - 1] = 0.0
-    return d
+    return (pos, ps, pmax), (neg, ns, nmax), 1.0 - pmax + nmax, d
 
 
 def _first_max(scores, starts, maxima) -> np.ndarray:
@@ -97,12 +93,10 @@ def mil_ranking_loss(
     where the next bag begins. A NaN score makes every term it reaches NaN,
     the hinge included.
     """
-    pos, ps, neg, ns = _validate_pairs(
+    (pos, _, _), _, margin, d = _pair_terms(
         pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts
     )
-    margin = 1.0 - np.maximum.reduceat(pos, ps) + np.maximum.reduceat(neg, ns)
     hinge = float(np.sum(np.maximum(margin, 0.0)))
-    d = _smoothness_diffs(pos, ps)
     smoothness = lambda1 * float(np.sum(d * d))
     sparsity = lambda2 * float(np.sum(pos))
     return LossBreakdown(
@@ -123,18 +117,15 @@ def loss_score_gradients(
     is exactly met, and bag maxima resolve argmax ties to the lowest
     segment index.
     """
-    pos, ps, neg, ns = _validate_pairs(
+    (pos, ps, pmax), (neg, ns, nmax), margin, d = _pair_terms(
         pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts
     )
     dpos = np.full(pos.shape, lambda2, dtype=np.float64)
-    d = _smoothness_diffs(pos, ps)
     dpos[:-1] += 2.0 * lambda1 * d
     dpos[1:] -= 2.0 * lambda1 * d
     dneg = np.zeros(neg.shape, dtype=np.float64)
-    pmax = np.maximum.reduceat(pos, ps)
-    nmax = np.maximum.reduceat(neg, ns)
     # a NaN margin is not > 0, so a NaN bag never reaches its argmax
-    active = 1.0 - pmax + nmax > 0.0
+    active = margin > 0.0
     dpos[_first_max(pos, ps, pmax)[active]] -= 1.0
     dneg[_first_max(neg, ns, nmax)[active]] += 1.0
     return dpos, dneg

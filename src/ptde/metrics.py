@@ -125,26 +125,21 @@ def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOL
     Overall AUC plus one AUC per normal category against theft segments.
     Category AUCs compare theft-annotated segments with the segments of
     videos in that category alone, in split order; categories without
-    segments are simply absent from the map. Non-theft segments of theft
-    videos count only in the overall AUC. A segment is detected when its
-    score is strictly above the threshold.
+    segments are absent from the map. Non-theft segments of theft videos
+    count only in the overall AUC. A 1 label in a normal-category video,
+    which `load_manifest` rejects, counts once, as theft. A segment is
+    detected when its score is strictly above the threshold.
     """
     scores, labels = segments.scores, segments.labels
     overall = auc(scores, labels)
 
     theft = labels == 1
-    theft_scores = scores[theft]
     per_category = {}
     for category in NORMAL_CATEGORIES:
-        cat_scores = scores[segments.categories == CATEGORIES.index(category)]
-        if cat_scores.size == 0:
-            continue
-        merged = np.concatenate([theft_scores, cat_scores])
-        merged_labels = np.concatenate(
-            [np.ones(theft_scores.size, dtype=np.int64),
-             np.zeros(cat_scores.size, dtype=np.int64)]
-        )
-        per_category[category] = auc(merged, merged_labels)
+        normal = (segments.categories == CATEGORIES.index(category)) & ~theft
+        if normal.any():
+            rows = theft | normal
+            per_category[category] = auc(scores[rows], labels[rows])
 
     flags = scores > threshold
     return {

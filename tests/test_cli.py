@@ -466,8 +466,10 @@ class TestOutputPaths:
     """`train` and `roc` check their output paths before any input is read.
     An output that names the same file as another of the command's paths
     exits 1, naming both flags and the file; an output whose directory is
-    missing, or that is a directory, exits 2 naming it. Either way no file
-    is written and the inputs keep their bytes."""
+    missing, or that is a directory, exits 2 naming it. An output that names
+    a feature or pose file of the manifest exits 1 once the manifest is
+    loaded, before any bag is, naming the flag, video, field and file.
+    Either way no file is written and the inputs keep their bytes."""
 
     CASES = {
         "roc-csv-is-svg": (
@@ -513,10 +515,49 @@ class TestOutputPaths:
         ),
     }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_refused_before_any_work(
-        self, dataset, checkpoint, tmp_path, monkeypatch, capsys, case
-    ):
+    MANIFEST_CASES = {
+        "roc-csv-is-a-feature-file": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/features/test_pickup_000.ptdf"],
+            "--out-csv and the feature_file of video 'test_pickup_000' "
+            "name the same file {root}/features/test_pickup_000.ptdf",
+        ),
+        "roc-csv-is-a-pose-file": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/poses/train_delivery_001.json"],
+            "--out-csv and the pose_file of video 'train_delivery_001' "
+            "name the same file {root}/poses/train_delivery_001.json",
+        ),
+        "roc-svg-is-a-feature-file": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/r.csv",
+             "--out-svg", "{root}/features/train_packagetheft_000.ptdf"],
+            "--out-svg and the feature_file of video 'train_packagetheft_000' "
+            "name the same file {root}/features/train_packagetheft_000.ptdf",
+        ),
+        "roc-svg-is-a-pose-file": (
+            ["roc", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+             "--out-csv", "{root}/r.csv", "--out-svg", "{root}/poses/test_delivery_001.json"],
+            "--out-svg and the pose_file of video 'test_delivery_001' "
+            "name the same file {root}/poses/test_delivery_001.json",
+        ),
+        "train-log-is-a-pose-file": (
+            ["train", "--manifest", "{manifest}", "--out-checkpoint", "{root}/m2.ckpt",
+             "--out-log", "{root}/poses/train_pickup_000.json"],
+            "--out-log and the pose_file of video 'train_pickup_000' "
+            "name the same file {root}/poses/train_pickup_000.json",
+        ),
+        "train-checkpoint-reaches-a-feature-file": (
+            ["train", "--manifest", "{manifest}",
+             "--out-checkpoint", "{root}/poses/../features/test_irrelevant_000.ptdf"],
+            "--out-checkpoint and the feature_file of video 'test_irrelevant_000' "
+            "name the same file {root}/features/test_irrelevant_000.ptdf",
+        ),
+    }
+
+    @staticmethod
+    def _refused(dataset, checkpoint, tmp_path, monkeypatch, capsys, argv, code,
+                 needle, not_run):
         root = tmp_path / "data"
         shutil.copytree(dataset.parent, root)
         shutil.copy(checkpoint, root / "m.ckpt")
@@ -525,17 +566,38 @@ class TestOutputPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("ran before the output paths were checked")
 
-        for name in ("load_checkpoint", "load_manifest", "train", "scored_test_segments"):
+        for name in not_run:
             monkeypatch.setattr(f"ptde.cli.{name}", refuse)
         before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
-        argv, code, needle = self.CASES[case]
         assert main([arg.format(**names) for arg in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert needle.format(**names) in captured.err
         after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
         assert after == before
+        assert not list(root.rglob(".*.tmp"))
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_before_any_work(
+        self, dataset, checkpoint, tmp_path, monkeypatch, capsys, case
+    ):
+        argv, code, needle = self.CASES[case]
+        self._refused(
+            dataset, checkpoint, tmp_path, monkeypatch, capsys, argv, code, needle,
+            ("load_checkpoint", "load_manifest", "train", "scored_test_segments"),
+        )
+
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_manifest_file_refused_before_any_bag(
+        self, dataset, checkpoint, tmp_path, monkeypatch, capsys, case
+    ):
+        argv, needle = self.MANIFEST_CASES[case]
+        self._refused(
+            dataset, checkpoint, tmp_path, monkeypatch, capsys, argv, 1,
+            "usage error: " + needle,
+            ("load_split_bags", "train", "scored_test_segments"),
+        )
 
 
 class TestContractErrors:

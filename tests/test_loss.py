@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptde.errors import EmptyBag, EmptyBatch, NegativeLambda
@@ -243,3 +243,93 @@ class TestScoreGradients:
                 continue
             fd = (_oracle_total(pos, up, lam1, lam2) - _oracle_total(pos, down, lam1, lam2)) / (2 * h)
             assert dneg[j] == pytest.approx(fd, abs=1e-6)
+
+
+def _separate_sides(pos, neg, pos_starts, neg_starts):
+    one_bag = np.zeros(1, dtype=np.intp)
+    ps = one_bag if pos_starts is None else np.asarray(pos_starts)
+    ns = one_bag if neg_starts is None else np.asarray(neg_starts)
+    return np.asarray(pos, dtype=np.float64), ps, np.asarray(neg, dtype=np.float64), ns
+
+
+def _separate_diffs(pos, ps):
+    d = pos[:-1] - pos[1:]
+    d[ps[1:] - 1] = 0.0
+    return d
+
+
+def _separate_first_max(scores, starts, maxima):
+    rows = np.arange(scores.size)
+    at_max = scores == np.repeat(maxima, np.diff(starts, append=scores.size))
+    return np.minimum.reduceat(np.where(at_max, rows, scores.size), starts)
+
+
+def _separate_loss(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
+    """The objective as computed apart from its gradient, on valid input."""
+    pos, ps, neg, ns = _separate_sides(pos_scores, neg_scores, pos_starts, neg_starts)
+    margin = 1.0 - np.maximum.reduceat(pos, ps) + np.maximum.reduceat(neg, ns)
+    hinge = float(np.sum(np.maximum(margin, 0.0)))
+    d = _separate_diffs(pos, ps)
+    smoothness = lambda1 * float(np.sum(d * d))
+    sparsity = lambda2 * float(np.sum(pos))
+    return hinge, smoothness, sparsity, hinge + smoothness + sparsity
+
+
+def _separate_gradients(pos_scores, neg_scores, lambda1, lambda2, pos_starts, neg_starts):
+    """The score gradients as computed apart from the objective, on valid input."""
+    pos, ps, neg, ns = _separate_sides(pos_scores, neg_scores, pos_starts, neg_starts)
+    dpos = np.full(pos.shape, lambda2, dtype=np.float64)
+    d = _separate_diffs(pos, ps)
+    dpos[:-1] += 2.0 * lambda1 * d
+    dpos[1:] -= 2.0 * lambda1 * d
+    dneg = np.zeros(neg.shape, dtype=np.float64)
+    pmax = np.maximum.reduceat(pos, ps)
+    nmax = np.maximum.reduceat(neg, ns)
+    active = 1.0 - pmax + nmax > 0.0
+    dpos[_separate_first_max(pos, ps, pmax)[active]] -= 1.0
+    dneg[_separate_first_max(neg, ns, nmax)[active]] += 1.0
+    return dpos, dneg
+
+
+# grid values give tied maxima and margins met exactly (1.0 against 0.0);
+# full 53-bit fractions give margins that round
+_batch_score = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan]),
+    st.floats(-1.0, 2.0),
+    st.integers(0, 2**53).map(lambda k: k / 2**53),
+)
+
+
+@st.composite
+def _pair_batches(draw):
+    """(pos, neg, lambda1, lambda2, pos_starts, neg_starts) of 1-4 pairs; a
+    one-pair batch may give its starts as None."""
+    pairs = draw(st.integers(1, 4))
+    sides = []
+    for _ in range(2):
+        bags = draw(st.lists(
+            st.lists(_batch_score, min_size=1, max_size=5),
+            min_size=pairs, max_size=pairs,
+        ))
+        starts = np.cumsum([0] + [len(b) for b in bags[:-1]])
+        if pairs == 1 and draw(st.booleans()):
+            starts = None
+        sides.append((sum(bags, []), starts))
+    (pos, ps), (neg, ns) = sides
+    lambdas = st.sampled_from([0.0, 8e-5, 0.3, 1.0])
+    return pos, neg, draw(lambdas), draw(lambdas), ps, ns
+
+
+class TestMatchesSeparatePasses:
+    """The value and the gradient, read from one pass of pair terms, are
+    bitwise those of the two functions that each computed their own terms."""
+
+    @settings(max_examples=300)
+    @given(_pair_batches())
+    def test_bitwise_equal(self, batch):
+        bd = mil_ranking_loss(*batch)
+        fields = np.array([bd.hinge, bd.smoothness, bd.sparsity, bd.total])
+        assert fields.tobytes() == np.array(_separate_loss(*batch)).tobytes()
+        for got, expected in zip(loss_score_gradients(*batch), _separate_gradients(*batch)):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()

@@ -222,6 +222,41 @@ class TestPerCategoryEval:
         all_labels = [1 if s.is_theft else 0 for s in segments]
         assert abs(report["overall_auc"] - pairwise_auc(np.array(all_scores), np.array(all_labels))) <= 1e-12
 
+    def test_matches_theft_first_merge(self):
+        """Each category AUC taken from masks of the split equals the one of
+        a theft-first merged copy, on interleaved categories with NaN, -0.0
+        and tied scores."""
+
+        def merged_category_aucs(segments):
+            theft_scores = segments.scores[segments.labels == 1]
+            aucs = {}
+            for category in NORMAL_CATEGORIES:
+                code = CATEGORIES.index(category)
+                cat_scores = segments.scores[segments.categories == code]
+                if cat_scores.size:
+                    aucs[category] = auc(
+                        np.concatenate([theft_scores, cat_scores]),
+                        np.repeat([1, 0], [theft_scores.size, cat_scores.size]),
+                    )
+            return aucs
+
+        rng = np.random.default_rng(20)
+        grid = np.array([np.nan, -0.0, 0.0, 0.25, 0.5, 1.0])
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            categories = rng.integers(0, len(CATEGORIES), size=n)
+            categories[:2] = [0, int(rng.integers(1, len(CATEGORIES)))]
+            rng.shuffle(categories)
+            labels = np.where(categories == 0, rng.integers(0, 2, size=n), 0)
+            labels[np.flatnonzero(categories == 0)[0]] = 1
+            scores = np.where(rng.random(n) < 0.5, rng.choice(grid, n), rng.random(n))
+            segments = ScoredSplit(scores, labels, categories, np.array([0, n]))
+            report = per_category_eval(segments)
+            expected = merged_category_aucs(segments)
+            assert list(report["per_category_auc"]) == list(expected)
+            for category, value in expected.items():
+                assert report["per_category_auc"][category] == value
+
     def test_no_theft_segments_is_fatal(self):
         segments = [Segment(0.5, False, "Pickup"), Segment(0.2, False, "Delivery")]
         with pytest.raises(DegenerateLabels):
