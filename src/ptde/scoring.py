@@ -9,18 +9,31 @@ computed analytically; no autodiff framework is involved. A training epoch
 is one `backprop` call over its distinct bags: the forward pass runs once
 per bag however many pairs use it, and the backward pass runs only over
 rows whose score gradient is non-zero.
+
+When BLAS runs one thread, a layer-1 product of at least
+SPLIT_MULTIPLY_ADDS multiply-adds (about 64 rows at 4150-d, 2,200 at
+118-d) runs as two halves on the calling thread and a helper thread of
+`ptde.parallel`: x @ w1 by rows, x.T @ dz1 by columns of dw1. The cut
+depends on the shapes alone and each half gives bitwise the rows or columns
+of the whole product, so results are identical for any core count. They
+still depend on the BLAS thread count, since OpenBLAS sums a product in
+another order at two threads.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .loss import loss_score_gradients, mil_ranking_loss
+from .parallel import ONE_BLAS_THREAD, run_pieces
 
 HIDDEN1 = 512
 HIDDEN2 = 32
 OUTPUT = 1
+# the size from which a layer-1 product runs as two halves (module docstring)
+SPLIT_MULTIPLY_ADDS = 1 << 27
 
 
 @dataclass
@@ -94,9 +107,28 @@ def _upper(head: ScoringHead, h1: np.ndarray):
     return h2, _sigmoid(z3[:, 0])
 
 
+def _halves(n: int, multiply_adds: int) -> list[tuple[int, int]]:
+    """range(n) as one piece, or as two halves for a product of at least
+    SPLIT_MULTIPLY_ADDS multiply-adds when BLAS runs one thread. The cut
+    depends on the shapes only, never on the core count."""
+    if multiply_adds < SPLIT_MULTIPLY_ADDS or not ONE_BLAS_THREAD:
+        return [(0, n)]
+    return [(0, n // 2), (n // 2, n)]
+
+
 def _forward(head: ScoringHead, x: np.ndarray):
-    """(h1, h2, scores) for the rows of x; ReLU is applied in place."""
-    h1 = _activate(x @ head.w1, head.b1)
+    """(h1, h2, scores) for the rows of x; ReLU is applied in place.
+
+    Layer 1 may run as two row halves (see `_halves`): a row of OpenBLAS's
+    gemm does not depend on the other rows of the product, so h1 is bitwise
+    the whole product's.
+    """
+    h1 = np.empty((len(x), head.w1.shape[1]))
+
+    def layer1(lo, hi):
+        _activate(np.matmul(x[lo:hi], head.w1, out=h1[lo:hi]), head.b1)
+
+    run_pieces(partial(layer1, lo, hi) for lo, hi in _halves(len(x), h1.size * x.shape[1]))
     return (h1, *_upper(head, h1))
 
 
@@ -155,11 +187,12 @@ def score_segments(head: ScoringHead, embeddings, starts=None) -> np.ndarray:
     return scores
 
 
-def _backward(head: ScoringHead, x, h1, h2, dz3) -> ScoringHead:
+def _backward(head: ScoringHead, x, h1, h2, dz3, dw1=None) -> ScoringHead:
     """Parameter gradients from the sigmoid-input gradients dz3 (rows, 1).
     relu'(0) = 0: masks come from h > 0, which is z > 0, NaN included. dz1
     overwrites h1 once h1 has given dw2 and its mask, so one (rows, 512)
-    float array is live at a time."""
+    float array is live at a time. The w1 gradient is written into `dw1`
+    when given."""
     dw3 = h2.T @ dz3
     db3 = dz3.sum(axis=0)
     dz2 = dz3 @ head.w3.T
@@ -169,7 +202,15 @@ def _backward(head: ScoringHead, x, h1, h2, dz3) -> ScoringHead:
     mask1 = h1 > 0.0
     dz1 = np.matmul(dz2, head.w2.T, out=h1)
     dz1 *= mask1
-    dw1 = x.T @ dz1
+    # column halves of dw1, each column's sums unchanged (see `_halves`); a
+    # cut at 256 of 512 columns keeps OpenBLAS's column tiles whole, where
+    # one at 257 changed bits at d = 118
+    if dw1 is None:
+        dw1 = np.empty_like(head.w1)
+    run_pieces(
+        partial(np.matmul, x.T, dz1[:, lo:hi], out=dw1[:, lo:hi])
+        for lo, hi in _halves(dz1.shape[1], dw1.size * len(x))
+    )
     db1 = dz1.sum(axis=0)
     return ScoringHead(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
@@ -195,7 +236,8 @@ def _gather(starts, size: int, bags):
     return rows, stacked
 
 
-def backprop(head: ScoringHead, embeddings, starts, pairs, lambda1: float, lambda2: float):
+def backprop(head: ScoringHead, embeddings, starts, pairs, lambda1: float, lambda2: float,
+             dw1=None):
     """Pair objective summed over bag pairs, and its exact parameter
     gradients as a ScoringHead.
 
@@ -206,7 +248,8 @@ def backprop(head: ScoringHead, embeddings, starts, pairs, lambda1: float, lambd
     and scored once however many pairs use them; their score gradients are
     summed before one backward pass over the rows whose gradient is
     non-zero, since every other row would add exactly zero. Kinks as in the
-    loss module.
+    loss module. The w1 gradient is written into `dw1`, a (d, 512) float64
+    array, when given; the trainer hands in one buffer for every epoch.
     """
     x = _as_bag(embeddings, head.input_dim, "training")
     bounds = _bag_bounds(starts, len(x))
@@ -230,4 +273,4 @@ def backprop(head: ScoringHead, embeddings, starts, pairs, lambda1: float, lambd
     dz3 = dscores * scores * (1.0 - scores)
     live = np.flatnonzero(dz3)
     x, h1, h2 = x[live], h1[live], h2[live]  # frees the all-row arrays
-    return breakdown, _backward(head, x, h1, h2, dz3[live, None])
+    return breakdown, _backward(head, x, h1, h2, dz3[live, None], dw1)

@@ -6,13 +6,21 @@ split's rows (which gathers each distinct bag once, runs the forward pass
 once per distinct bag and the backward pass only over rows with a non-zero
 score gradient), average the summed pair-objective gradients, and take one
 in-place Adagrad step. The squared-gradient sums live in a second
-ScoringHead, zeroed at the start. Runs are bit-for-bit reproducible from
-(dataset, config). TrainConfig owns the training settings, and the CLI reads
-its flag defaults from it; Adagrad's epsilon is the constant ADAGRAD_EPSILON.
+ScoringHead, zeroed at the start. TrainConfig owns the training settings,
+and the CLI reads its flag defaults from it; Adagrad's epsilon is the
+constant ADAGRAD_EPSILON.
+
+Runs are bit-for-bit reproducible from (dataset, config) with any number of
+cores. The step spreads its blocks over `ptde.parallel`'s threads when
+there are more than ADAGRAD_SPLIT_BLOCKS of them (widths over 384), and
+`backprop` cuts its widest products by shape alone (see `ptde.scoring`).
+The bits still depend on the BLAS thread count, since OpenBLAS sums a
+product in another order at two threads.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,12 +28,17 @@ from .data import BagSet
 from .errors import InsufficientData, NonFiniteLoss, ShapeMismatch
 from .fileio import write_atomic
 from .fusion import FusionMode
+from .parallel import run_pieces
 from .scoring import ScoringHead, backprop, init_head
 
 HISTORY_COLUMNS = ("total", "hinge", "smoothness", "sparsity")
 ADAGRAD_EPSILON = 1e-8
 # 512 KB of float64 per temporary; a 118-d w1 (60416 elements) is one block
 ADAGRAD_BLOCK_ELEMENTS = 1 << 16
+# a step of more blocks than this (a w1 over 384 rows, in 128-row blocks,
+# and one block for each other parameter) spreads them over
+# ptde.parallel's threads
+ADAGRAD_SPLIT_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -66,24 +79,34 @@ def adagrad_step(
     are first divided in place by `divisor` (the trainer's pair count). The
     operations keep the order of that formula, so a step is bitwise equal to
     it. Being elementwise, they run over row blocks of ADAGRAD_BLOCK_ELEMENTS
-    so that each block's temporaries stay in cache.
+    so that each block's temporaries stay in cache; over ADAGRAD_SPLIT_BLOCKS
+    blocks, the calling thread and `ptde.parallel`'s helpers share them.
     """
+    blocks = []
     for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         if p.shape != g.shape or p.shape != s.shape:
             raise ShapeMismatch(
                 f"parameter/gradient/accumulator shapes differ: {p.shape} vs {g.shape} vs {s.shape}"
             )
-    for p, g, s in zip(head.params(), grads.params(), sum_sq.params()):
         rows = max(1, ADAGRAD_BLOCK_ELEMENTS * len(p) // p.size)
-        for lo in range(0, len(p), rows):
-            pb, gb, sb = p[lo : lo + rows], g[lo : lo + rows], s[lo : lo + rows]
-            gb /= divisor
-            sb += gb * gb
-            u = gb * learning_rate
-            t = np.sqrt(sb)
-            t += ADAGRAD_EPSILON
-            u /= t
-            pb -= u
+        blocks += [partial(_adagrad_block, p[lo : lo + rows], g[lo : lo + rows],
+                           s[lo : lo + rows], learning_rate, divisor)
+                   for lo in range(0, len(p), rows)]
+    if len(blocks) > ADAGRAD_SPLIT_BLOCKS:
+        run_pieces(blocks)
+    else:
+        for block in blocks:
+            block()
+
+
+def _adagrad_block(p, g, s, learning_rate, divisor) -> None:
+    g /= divisor
+    s += g * g
+    u = g * learning_rate
+    t = np.sqrt(s)
+    t += ADAGRAD_EPSILON
+    u /= t
+    p -= u
 
 
 @dataclass
@@ -114,6 +137,8 @@ def train(bags: BagSet, config: TrainConfig) -> TrainRun:
     # sampling stream keyed off the seed, distinct from the init stream
     sampler = np.random.default_rng([config.seed, 1])
     history = np.empty((config.epochs, len(HISTORY_COLUMNS)))
+    # every epoch's w1 gradient: one buffer, so no epoch holds two
+    dw1 = np.empty_like(head.w1)
 
     pairs = config.pairs_per_epoch
     for epoch in range(config.epochs):
@@ -121,7 +146,7 @@ def train(bags: BagSet, config: TrainConfig) -> TrainRun:
         neg_idx = sampler.integers(0, len(neg), size=pairs)
         bd, grads = backprop(
             head, bags.embeddings, starts, np.column_stack((pos[pos_idx], neg[neg_idx])),
-            config.lambda1, config.lambda2,
+            config.lambda1, config.lambda2, dw1,
         )
         history[epoch] = np.array((bd.total, bd.hinge, bd.smoothness, bd.sparsity)) / pairs
         if not np.isfinite(history[epoch, 0]):

@@ -316,6 +316,25 @@ def test_no_live_row_gives_exact_zero_gradients(monkeypatch):
         assert not g.any()
 
 
+def test_w1_gradient_goes_into_the_given_buffer(monkeypatch):
+    """A buffer holding a previous epoch's values is overwritten whole, the
+    no-live-row case included."""
+    rng = np.random.default_rng(6)
+    head = small_head(rng)
+    x = rng.standard_normal((9, DIM))
+    expected = backprop(head, x, [0, 4], [[0, 1]] * 3, LAM1, LAM2)[1]
+    buf = np.full_like(head.w1, np.nan)
+    grads = backprop(head, x, [0, 4], [[0, 1]] * 3, LAM1, LAM2, buf)[1]
+    assert grads.w1 is buf
+    for g, e in zip(grads.params(), expected.params()):
+        assert g.tobytes() == e.tobytes()
+    rows = record_rows(monkeypatch)
+    head.b3[:] = -800.0  # every score is 0.0, where the sigmoid's slope is 0
+    grads = backprop(head, x, [0, 4], [[0, 1]], 0.0, 0.0, buf)[1]
+    assert rows["backward"] == [0]
+    assert grads.w1 is buf and not buf.any()
+
+
 @pytest.mark.parametrize("pairs", [
     [[0, 3]],  # bags are 0-2
     [[-1, 0]],

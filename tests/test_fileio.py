@@ -1,4 +1,5 @@
 import errno
+import threading
 
 import numpy as np
 import pytest
@@ -90,3 +91,28 @@ class TestWriteAtomic:
         with pytest.raises(FileNotFoundError) as info:
             write_atomic(path, [b"x"])
         assert info.value.filename == str(path)
+
+    def test_threads_writing_one_path_each_leave_a_whole_payload(self, tmp_path):
+        path = tmp_path / "out.bin"
+        payloads = [bytes([65 + k]) * 4096 for k in range(2)]
+        start = threading.Barrier(2)
+        errors = []
+
+        def writer(payload):
+            try:
+                start.wait()
+                # many small chunks keep both temp files open at once
+                write_atomic(path, (payload[i : i + 64] for i in range(0, len(payload), 64)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        for _ in range(200):
+            threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert errors == []
+            assert path.read_bytes() in payloads
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
