@@ -10,12 +10,14 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     SPLITS,
+    bag_width,
     load_checkpoint,
     load_manifest,
     load_split_bags,
@@ -34,7 +36,8 @@ from .metrics import (
     write_roc_csv,
     write_roc_svg,
 )
-from .scoring import score_segments
+from .parallel import run_pieces
+from .scoring import SPLIT_MULTIPLY_ADDS, score_segments
 from .synth import SynthSpec, generate_synthetic
 from .trainer import TrainConfig, train, write_run_log
 
@@ -70,13 +73,19 @@ def _resolve_seed(value):
 def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
     """Score every test-split segment into one ScoredSplit, in manifest order.
 
-    Consecutive videos are scored by one `score_segments` call while their
-    rows fit in SCORE_BLOCK_ROWS; a longer video is scored alone, uncopied.
-    Each video scores as it would alone (see `score_segments`). A video with
-    no segment adds no row, and its bag is not loaded. Labels and categories
-    come from the manifest records, before any bag is loaded. Theft videos
-    must carry segment-level annotations; normal videos are all-negative by
-    definition.
+    Consecutive videos are loaded into one buffer and scored by one
+    `score_segments` call while their rows fit in SCORE_BLOCK_ROWS; a longer
+    video is scored alone, uncopied. Each video scores as it would alone
+    (see `score_segments`). A video with no segment adds no row, and its
+    bag is not loaded. Labels and categories come from the manifest
+    records, before any bag is loaded. Theft videos must carry
+    segment-level annotations; normal videos are all-negative by definition.
+
+    When the split's layer-1 work reaches SPLIT_MULTIPLY_ADDS, the blocks
+    are spread over `ptde.parallel`'s threads. Each block runs the same
+    products on the same shapes whichever thread takes it, so the scores
+    are the same, and a failure is that of the first failing block, as in
+    the serial loop.
     """
     records = manifest.split_records("test")
     counts = [rec.num_segments for rec in records]
@@ -90,24 +99,36 @@ def scored_test_segments(manifest, head, fusion_mode) -> ScoredSplit:
                 )
             labels[start:stop] = rec.annotations
     scores = np.empty(offsets[-1], dtype=np.float64)
+    # from the manifest, not the head: a head of another width then fails
+    # in `score_segments` with the width it expects
+    width = bag_width(manifest, fusion_mode)
 
     def score_block(videos):
-        bags = [load_video_bag(manifest, records[i].video_id, fusion_mode) for i in videos]
         lo, hi = offsets[videos[0]], offsets[videos[-1] + 1]
-        if len(bags) == 1:
-            scores[lo:hi] = score_segments(head, bags[0])
-        else:
-            starts = offsets[videos] - lo
-            scores[lo:hi] = score_segments(head, np.concatenate(bags), starts)
+        if len(videos) == 1:
+            bag = load_video_bag(manifest, records[videos[0]].video_id, fusion_mode)
+            scores[lo:hi] = score_segments(head, bag)
+            return
+        x = np.empty((hi - lo, width))
+        for i in videos:
+            x[offsets[i] - lo : offsets[i + 1] - lo] = load_video_bag(
+                manifest, records[i].video_id, fusion_mode
+            )
+        scores[lo:hi] = score_segments(head, x, offsets[videos] - lo)
 
-    block = []
+    blocks = []
     for i in np.flatnonzero(counts):
-        if block and offsets[i + 1] - offsets[block[0]] > SCORE_BLOCK_ROWS:
-            score_block(block)
-            block = []
-        block.append(i)
-    if block:
-        score_block(block)
+        if not blocks or offsets[i + 1] - offsets[blocks[-1][0]] > SCORE_BLOCK_ROWS:
+            blocks.append([])
+        blocks[-1].append(i)
+    pieces = [partial(score_block, videos) for videos in blocks]
+    # below the gate a block's time goes mostly to Python (pose parsing at
+    # 118-d), which holds the GIL: a second thread would only contend for it
+    if head.w1.size * offsets[-1] >= SPLIT_MULTIPLY_ADDS:
+        run_pieces(pieces)
+    else:
+        for piece in pieces:
+            piece()
     categories = np.repeat(
         np.array([CATEGORIES.index(rec.category) for rec in records], dtype=np.int64),
         counts,

@@ -403,15 +403,20 @@ def load_video_bag(manifest: Manifest, video_id: str, fusion_mode: FusionMode) -
     return fuse(appearance, pose, fusion_mode)
 
 
+def bag_width(manifest: Manifest, fusion_mode: FusionMode) -> int:
+    """The embedding width of every bag `load_video_bag` gives for this
+    manifest and fusion mode."""
+    if fusion_mode is FusionMode.GLOBAL_LOCAL_CONCAT:
+        return manifest.feature_dim + SEGMENT_FEATURE_DIM
+    return manifest.feature_dim
+
+
 def load_split_bags(manifest: Manifest, split: str, fusion_mode: FusionMode) -> BagSet:
     """All bags of one split, each loaded by `load_video_bag` into its rows
     of one array sized from the records' segment counts."""
     records = manifest.split_records(split)
     offsets = np.cumsum([0] + [rec.num_segments for rec in records], dtype=np.int64)
-    width = manifest.feature_dim
-    if fusion_mode is FusionMode.GLOBAL_LOCAL_CONCAT:
-        width += SEGMENT_FEATURE_DIM
-    embeddings = np.empty((offsets[-1], width))
+    embeddings = np.empty((offsets[-1], bag_width(manifest, fusion_mode)))
     for rec, lo, hi in zip(records, offsets[:-1], offsets[1:]):
         embeddings[lo:hi] = load_video_bag(manifest, rec.video_id, fusion_mode)
     is_positive = np.array([rec.is_positive for rec in records], dtype=bool)

@@ -8,6 +8,11 @@ back in input order, so a caller that cuts its work by array shape alone
 gets the same results for any number of helpers, none included. numpy
 releases the GIL inside its BLAS calls and ufunc loops, which is where the
 helpers earn their keep.
+
+Training spreads layer 1's two products and the Adagrad blocks over it
+(`ptde.scoring`, `ptde.trainer`); `ptde eval` and `ptde roc` spread their
+blocks of whole test videos, each loaded and scored by one piece
+(`ptde.cli.scored_test_segments`).
 """
 
 import itertools

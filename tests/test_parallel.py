@@ -1,4 +1,4 @@
-"""ptde.parallel, and the training work spread over it.
+"""ptde.parallel, and the training and eval work spread over it.
 
 The split products are only taken at one BLAS thread, so the tests that
 need them run in a subprocess with OPENBLAS_NUM_THREADS=1.
@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import ptde
-from ptde import parallel, scoring, trainer
-from ptde.data import BagSet
+from ptde import cli, parallel, scoring, trainer
+from ptde.cli import main
+from ptde.data import BagSet, load_manifest, save_checkpoint, write_feature_file
+from ptde.fusion import FusionMode
 from ptde.scoring import ScoringHead
 from ptde.trainer import ADAGRAD_EPSILON, adagrad_step
 
@@ -310,3 +312,154 @@ def test_118d_training_makes_no_pool(helpers, monkeypatch):
     )
     trainer.train(bags, trainer.TrainConfig(epochs=5, seed=1))
     assert parallel._pool is None
+
+
+# ---------------------------------------------- eval blocks spread over threads
+
+def frame_manifest(root, lengths, dim=64, corrupt=()):
+    """A global-only test split of hand-written PTDF files, video k holding
+    lengths[k] segments of two clips (a single clip makes no segment); every
+    third video is a theft video. The videos in `corrupt` hold a NaN, which
+    `load_manifest` does not read but loading the bag refuses."""
+    rng = np.random.default_rng(len(lengths))
+    normal = ("Pickup", "Delivery", "Irrelevant")
+    videos = []
+    for k, n in enumerate(lengths):
+        clips = rng.standard_normal((2 * n or 1, dim))
+        if k in corrupt:
+            clips[-1, -1] = np.nan
+        write_feature_file(root / f"v{k}.ptdf", clips)
+        record = {"id": f"v{k}", "split": "test", "feature_file": f"v{k}.ptdf",
+                  "category": normal[k % 3] if k % 3 else "PackageTheft"}
+        if k % 3 == 0:
+            record["annotations"] = rng.integers(0, 2, size=n).tolist()
+        videos.append(record)
+    path = root / "manifest.json"
+    path.write_text(json.dumps({
+        "name": "frames", "feature_dim": dim, "clip_length": 16, "segment_length": 32,
+        "videos": videos,
+    }), encoding="utf-8")
+    return path
+
+
+def random_checkpoint(path, dim, fusion):
+    save_checkpoint(scoring.init_head(dim, 7), trainer.TrainConfig(seed=7, fusion_mode=fusion),
+                    path)
+    return path
+
+
+EVAL_INVARIANCE = r"""
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from ptde import cli, parallel
+from ptde.cli import main
+
+spread = []
+def counted(pieces, run=cli.run_pieces):
+    spread.append(len(pieces))
+    return run(pieces)
+cli.run_pieces = counted
+
+manifest, ckpt, out = map(Path, sys.argv[1:])
+runs = {}
+for helpers in (0, 1, 3):
+    parallel.HELPERS, parallel._pool = helpers, None
+    del spread[:]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 0
+        assert main(["roc", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                     "--out-csv", str(out / "roc.csv"), "--out-svg", str(out / "roc.svg")]) == 0
+    runs[helpers] = [hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+                     hashlib.sha256((out / "roc.csv").read_bytes()).hexdigest(),
+                     hashlib.sha256((out / "roc.svg").read_bytes()).hexdigest(),
+                     spread, parallel._pool is not None]
+print(json.dumps(runs))
+"""
+
+
+def spread_eval_runs(manifest, ckpt, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = run_one_blas_thread(EVAL_INVARIANCE, manifest, ckpt, out)
+    assert len({tuple(runs[str(n)][:3]) for n in (0, 1, 3)}) == 1
+    for n in (0, 1, 3):
+        spread, pooled = runs[str(n)][3:]
+        assert len(spread) == 2 and spread[0] > 1  # eval and roc both spread
+        assert pooled == (n > 0)
+    return runs
+
+
+def test_eval_and_roc_bytes_do_not_depend_on_the_helper_count_64d(tmp_path):
+    """A 64-d global split past the gate (4,096 rows) with 1-row videos,
+    videos longer than SCORE_BLOCK_ROWS and videos with no segment."""
+    b = cli.SCORE_BLOCK_ROWS
+    rng = np.random.default_rng(2)
+    lengths = [0, 1, b + 44, 1, 1, 0, b, b + 1, 3, 2 * b] + rng.integers(0, 40, size=170).tolist()
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = frame_manifest(data, lengths)
+    assert sum(lengths) * 64 * scoring.HIDDEN1 >= scoring.SPLIT_MULTIPLY_ADDS
+    spread_eval_runs(manifest, random_checkpoint(tmp_path / "m.ckpt", 64, FusionMode.GLOBAL_ONLY),
+                     tmp_path)
+
+
+def test_eval_and_roc_bytes_do_not_depend_on_the_helper_count_4150d(tmp_path):
+    """A 4150-d global-local split of 1-9-row videos in two blocks or more."""
+    counts = ["--train-theft", "1", "--train-pickup", "1", "--train-delivery", "0",
+              "--train-irrelevant", "0", "--test-theft", "24", "--test-pickup", "12",
+              "--test-delivery", "12", "--test-irrelevant", "12"]
+    assert main(["synth", "--out-dir", str(tmp_path / "data"), "--seed", "5", "--dim", "4096",
+                 "--segments-min", "1", "--segments-max", "9", *counts]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    rows = [rec.num_segments for rec in load_manifest(manifest).split_records("test")]
+    assert 1 in rows and sum(rows) > cli.SCORE_BLOCK_ROWS
+    ckpt = random_checkpoint(tmp_path / "m.ckpt", 4150, FusionMode.GLOBAL_LOCAL_CONCAT)
+    spread_eval_runs(manifest, ckpt, tmp_path)
+
+
+def test_118d_eval_makes_no_pool(helpers, tmp_path, capsys):
+    helpers(1)
+    assert main(["synth", "--out-dir", str(tmp_path / "data"), "--seed", "3"]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    rows = sum(rec.num_segments for rec in load_manifest(manifest).split_records("test"))
+    assert cli.SCORE_BLOCK_ROWS < rows and rows * 118 * scoring.HIDDEN1 < scoring.SPLIT_MULTIPLY_ADDS
+    ckpt = random_checkpoint(tmp_path / "m.ckpt", 118, FusionMode.GLOBAL_LOCAL_CONCAT)
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 0
+    assert main(["roc", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                 "--out-csv", str(tmp_path / "roc.csv")]) == 0
+    assert parallel._pool is None
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_spread_eval_names_the_first_corrupt_block(helpers, tmp_path, capsys, n):
+    """Blocks of 8 30-row videos; video 7 ends block 0 and video 8 starts
+    block 1, so with a helper both fail at about the same time."""
+    helpers(n)
+    manifest = frame_manifest(tmp_path, [30] * 200, corrupt=(7, 8, 150))
+    ckpt = random_checkpoint(tmp_path / "m.ckpt", 64, FusionMode.GLOBAL_ONLY)
+    for _ in range(5):
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'v7.ptdf'}: non-finite feature values\n"
+    assert (parallel._pool is not None) == (n > 0)
+
+
+@pytest.mark.parametrize("test_theft, spreads", [(60, True), (1, False)])
+def test_checkpoint_wider_than_the_manifest_exits_2(helpers, tmp_path, capsys, test_theft,
+                                                    spreads):
+    """A 4150-d head on 118-d bags: the block buffer has the manifest's
+    width, so `score_segments` names both widths. 61 videos of 4-8 rows
+    make two blocks or more, past the gate at the head's width (64 rows);
+    2 videos make one."""
+    helpers(1)
+    counts = ["--test-theft", str(test_theft), "--test-pickup", "1", "--test-delivery", "0",
+              "--test-irrelevant", "0"]
+    assert main(["synth", "--out-dir", str(tmp_path / "data"), "--seed", "3", *counts]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    ckpt = random_checkpoint(tmp_path / "m.ckpt", 4150, FusionMode.GLOBAL_LOCAL_CONCAT)
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == (
+        "error: segment bag has embedding dimension 118, head expects 4150\n"
+    )
+    assert (parallel._pool is not None) == spreads
