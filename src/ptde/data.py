@@ -68,6 +68,15 @@ DEFAULT_IMAGE_HEIGHT = 240
 SPLITS = ("train", "test")
 
 
+def is_image_dimension(value) -> bool:
+    """An image width or height: an int, not a bool, from 1 to float64's max."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 1 <= value <= sys.float_info.max
+    )
+
+
 # ---------------------------------------------------------------- features
 
 def write_feature_file(path, clips) -> None:
@@ -236,10 +245,7 @@ def load_manifest(path) -> Manifest:
             f"{path}: segment_length must be a positive multiple of "
             f"{clip_length}, got {segment_length}"
         )
-    if any(
-        isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= sys.float_info.max
-        for v in (width, height)
-    ):
+    if not (is_image_dimension(width) and is_image_dimension(height)):
         raise ManifestSyntax(
             f"{path}: image dimensions must be positive integers within float64 range"
         )

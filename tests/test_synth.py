@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ class TestPoseDocument:
     @example(seed=0, num_frames=0, width=320, height=240)
     @example(seed=1, num_frames=1, width=1, height=1)
     @example(seed=2, num_frames=1100, width=5000, height=5000)
+    # digit-count boundaries; a taller image clips x at 0 and at the width
+    @example(seed=3, num_frames=30, width=9, height=40)
+    @example(seed=4, num_frames=30, width=10, height=50)
+    @example(seed=5, num_frames=30, width=99, height=400)
+    @example(seed=6, num_frames=30, width=100, height=500)
+    @example(seed=7, num_frames=30, width=999, height=4000)
+    @example(seed=8, num_frames=30, width=1000, height=5000)
+    @example(seed=9, num_frames=30, width=10**4, height=5 * 10**4)
+    # nothing may be sized by the image size
+    @example(seed=10, num_frames=30, width=10**9, height=3)
+    @example(seed=11, num_frames=30, width=10**12, height=7)
     def test_matches_per_joint_writer(self, seed, num_frames, width, height):
         expected = oracle_pose_document_json(
             np.random.default_rng(seed), num_frames, width, height
@@ -127,6 +139,26 @@ class TestSpecValidation:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             small_spec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"image_width": 0},
+            {"image_height": -5},
+            {"image_width": 320.5},
+            {"image_width": True},
+            {"image_height": int(sys.float_info.max) + 1},
+        ],
+    )
+    def test_image_sizes_follow_the_manifest_rule(self, tmp_path, kwargs):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="within float64 range"):
+            generate_synthetic(small_spec(**kwargs), out)
+        assert not out.exists()
+
+    def test_largest_image_size_is_accepted(self):
+        spec = small_spec(image_height=int(sys.float_info.max))
+        assert spec.image_height == sys.float_info.max
 
     def test_counts_must_cover_every_category(self):
         counts = dict(SMALL_COUNTS["test_counts"])
@@ -206,6 +238,14 @@ class TestGenerate:
         # pose values are normalized coordinates/confidences
         assert np.all(fused[:, 8:] >= 0.0)
         assert np.all(fused[:, 8:] <= 1.0)
+
+    @pytest.mark.parametrize("size", [(1, 1), (10**12, 7)])
+    def test_loader_reads_extreme_image_sizes(self, tmp_path, size):
+        spec = small_spec(image_width=size[0], image_height=size[1])
+        manifest = load_manifest(generate_synthetic(spec, tmp_path))
+        assert (manifest.image_width, manifest.image_height) == size
+        bags = load_split_bags(manifest, "test", FusionMode.GLOBAL_LOCAL_CONCAT)
+        assert np.all((bags.embeddings[:, 8:] >= 0.0) & (bags.embeddings[:, 8:] <= 1.0))
 
     def test_train_split_has_both_classes(self, tmp_path):
         manifest = load_manifest(generate_synthetic(small_spec(), tmp_path))
