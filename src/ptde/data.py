@@ -18,8 +18,11 @@ as little-endian float64 in layer order, row-major. Round-trips are
 bit-exact. The header widths are checked before any array is sized from them.
 """
 
+import errno
 import json
 import math
+import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass
@@ -62,6 +65,9 @@ _CHECKPOINT_HEADER = struct.Struct("<4sIIIIIIq")
 
 _FUSION_TAGS = {FusionMode.GLOBAL_ONLY: 0, FusionMode.GLOBAL_LOCAL_CONCAT: 1}
 _TAG_FUSIONS = {tag: mode for mode, tag in _FUSION_TAGS.items()}
+
+# the stat errors for which `Path.is_file` answers False rather than raise
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 DEFAULT_IMAGE_WIDTH = 320
 DEFAULT_IMAGE_HEIGHT = 240
@@ -114,13 +120,26 @@ def _check_feature_header(path, head: bytes, size: int) -> tuple[int, int]:
     return count, dim
 
 
-def read_feature_header(path) -> tuple[int, int]:
-    """(clip_count, dim) from a PTDF header; validates total file size."""
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        head = fh.read(_FEATURE_HEADER.size)
-    return _check_feature_header(path, head, size)
+def _probe_feature_file(path) -> tuple[int, int]:
+    """(clip_count, dim) of a manifest's feature file, from one stat and one
+    header read. Where `Path.is_file` is False (no such file, a dangling
+    symlink, a directory or another kind of file), MissingFeatureFile."""
+    try:
+        status = os.stat(path)
+    except OSError as exc:
+        if exc.errno not in _NOT_A_FILE:
+            raise
+        status = None
+    except ValueError:  # an embedded null byte
+        status = None
+    if status is None or not stat.S_ISREG(status.st_mode):
+        raise MissingFeatureFile(str(path))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = os.read(fd, _FEATURE_HEADER.size)
+    finally:
+        os.close(fd)
+    return _check_feature_header(path, head, status.st_size)
 
 
 def read_feature_file(path) -> np.ndarray:
@@ -274,9 +293,7 @@ def load_manifest(path) -> Manifest:
                 f"{where}: category {category!r} not in {sorted(CATEGORIES)}"
             )
         feature_path = path.parent / _field(video, "feature_file", str, where)
-        if not feature_path.is_file():
-            raise MissingFeatureFile(str(feature_path))
-        clip_count, dim = read_feature_header(feature_path)
+        clip_count, dim = _probe_feature_file(feature_path)
         if dim != feature_dim:
             raise InconsistentDimension(
                 f"{feature_path}: file dimension {dim} != manifest "
@@ -291,12 +308,10 @@ def load_manifest(path) -> Manifest:
         annotations = None
         if "annotations" in video and video["annotations"] is not None:
             ann = _field(video, "annotations", list, where)
-            try:
-                values = set(ann)
-            except TypeError:  # a list or an object among the values
-                values = None
-            # True == 1 and False == 0, so booleans need their own test
-            if values is None or not values <= {0, 1} or bool in set(map(type, ann)):
+            # bool is not among the types, though True == 1 and False == 0
+            types = set(map(type, ann))
+            values = set(ann) if types <= {int, float} else None
+            if values is None or not values <= {0, 1}:
                 raise ManifestSyntax(f"{where}: annotations must be 0 or 1")
             if len(ann) != num_segments:
                 raise ManifestSyntax(
@@ -307,7 +322,7 @@ def load_manifest(path) -> Manifest:
                 raise ManifestSyntax(
                     f"{where}: theft annotations on a {category} video"
                 )
-            annotations = tuple(map(int, ann))
+            annotations = tuple(ann) if types <= {int} else tuple(map(int, ann))
         records.append(
             VideoRecord(
                 video_id=vid,

@@ -10,16 +10,17 @@ per-video offsets.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import DegenerateLabels, LengthMismatch
-from .fileio import write_atomic
+from .fileio import _DIGIT_GROUPS, write_atomic
+from .pose import _halves
 
 DEFAULT_THRESHOLD = 0.2
 ROC_SVG_SIZE = 400  # pixels, width and height
-_ROC_CSV_BLOCK_ROWS = 8192  # CSV rows encoded per write
+_ROC_CSV_BLOCK_ROWS = 8192  # curve points formatted per write, in the CSV and the SVG
 
 THEFT_CATEGORY = "PackageTheft"
 NORMAL_CATEGORIES = ("Pickup", "Delivery", "Irrelevant")
@@ -54,6 +55,14 @@ class RocCurve:
     thresholds: np.ndarray  # (K + 1,) float64, descending
     tps: np.ndarray  # (K + 1,) int64
     fps: np.ndarray  # (K + 1,) int64
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.thresholds, self.tps, self.fps)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0] == (0,):
+            raise LengthMismatch(
+                "thresholds, tps and fps must be 1-D and of one non-zero length, "
+                "got shapes {}, {} and {}".format(*shapes)
+            )
 
     @property
     def fpr(self) -> np.ndarray:
@@ -155,45 +164,92 @@ def per_category_eval(segments: ScoredSplit, threshold: float = DEFAULT_THRESHOL
     }
 
 
-def _rate_texts(counts: np.ndarray) -> list:
-    """`repr` of each `counts / counts[-1]`, formatting each distinct rate once.
+def _blocks(curve: RocCurve):
+    """The slices of the curve's points that the writers format at a time."""
+    step = _ROC_CSV_BLOCK_ROWS
+    return (slice(lo, lo + step) for lo in range(0, len(curve.fps), step))
 
-    Rows share their distinct rate's string: an object array indexes them
-    without a Python int per row, which would add about 4 MB per 10^5 rows.
+
+def _rate_rows(counts: np.ndarray, total):
+    """`repr` of each `counts / total`, formatted once per run of equal rates.
+
+    Runs are of bitwise-equal rates: -0.0 == 0.0, but their texts differ.
     """
-    distinct, rows = np.unique(counts, return_inverse=True)
-    texts = np.array(list(map(repr, (distinct / counts[-1]).tolist())), dtype=object)
-    return texts[rows].tolist()
+    rates = counts / total
+    after = rates[1:]
+    change = (rates[:-1] != after) | (np.signbit(rates[:-1]) != np.signbit(after))
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    lengths = np.diff(starts, append=rates.size)
+    texts = map(repr, rates[starts].tolist())
+    return chain.from_iterable(map(repeat, texts, lengths.tolist()))
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """CSV export: header `threshold,fpr,tpr`, one row per curve point.
 
     Values are written as `repr` of a Python float: the shortest text that
-    reads back to the same float64. A rate is an integer count over its
-    total, so it is formatted once per distinct count; thresholds are
-    formatted one by one, since -0.0 and 0.0 must stay distinct. Rows are
-    encoded and written in blocks, so the whole text is never held at once.
+    reads back to the same float64. Thresholds are formatted one by one,
+    since -0.0 and 0.0 must stay distinct; a rate is an integer count over
+    its total and is formatted once per run of equal counts. Rows are
+    formatted, encoded and written in blocks, so neither the text nor a
+    string per row is held for the whole curve.
     """
-    rows = map(
-        ",".join,
-        zip(
-            map(repr, curve.thresholds.tolist()),
-            _rate_texts(curve.fps),
-            _rate_texts(curve.tps),
-        ),
-    )
 
     def chunks():
         yield b"threshold,fpr,tpr\n"
-        while block := list(islice(rows, _ROC_CSV_BLOCK_ROWS)):
-            yield ("\n".join(block) + "\n").encode("utf-8")
+        for rows in _blocks(curve):
+            lines = zip(
+                map(repr, curve.thresholds[rows].tolist()),
+                _rate_rows(curve.fps[rows], curve.fps[-1]),
+                _rate_rows(curve.tps[rows], curve.tps[-1]),
+            )
+            yield ("\n".join(map(",".join, lines)) + "\n").encode("utf-8")
 
     write_atomic(path, chunks())
 
 
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """v * 100 rounded half to even on its exact value, as `format(v, '.2f')`
+    rounds: the float product p plus its error e is exactly v * 100."""
+    p = v * 100
+    high, low = _halves(v)
+    e = (high * 100 - p) + low * 100  # Dekker's product; 100 splits as (100, 0)
+    n = np.rint(p)
+    half = p - n  # exact; only at +-0.5 can e move the rounding
+    n += (half == 0.5) & (e > 0)
+    n -= (half == -0.5) & (e < 0)
+    return n.astype(np.int64)
+
+
+# a point's text: x, ",", y, " ", each coordinate "ddd.dd" (0 bytes before
+# the first digit of its integer part)
+_POINT = np.frombuffer(b"\0\0\0.\0\0,\0\0\0.\0\0 ", dtype=np.uint8).reshape(2, 7)
+
+
+def _points_text(xy: np.ndarray) -> bytes:
+    """`"{:.2f},{:.2f} "` of each (x, y) row, one format per point.
+
+    Coordinates in [0, 1000) that round below 1000, which every
+    `roc_curve` curve gives, are written from the digit table; a block
+    with any other value keeps `format`.
+    """
+    if np.all((xy < 1000) & ~np.signbit(xy)):  # no NaN, infinity or -0.0
+        whole, cents = np.divmod(_hundredths(xy), 100)
+        if whole.max() < 1000:
+            text = np.empty((len(xy), 2, 7), dtype=np.uint8)
+            text[:] = _POINT
+            text[..., :3] = _DIGIT_GROUPS.take(whole, axis=0)
+            text[..., 4:6] = _DIGIT_GROUPS.take(cents + 100, axis=0)[..., 1:]
+            return text.tobytes().translate(None, b"\0")
+    return "".join(map("{:.2f},{:.2f} ".format, *xy.T.tolist())).encode("ascii")
+
+
 def write_roc_svg(curve: RocCurve, path) -> None:
-    """Minimal SVG rendering: unit-square axes plus the ROC polyline."""
+    """Minimal SVG rendering: unit-square axes plus the ROC polyline.
+
+    The polyline's points are formatted and written in blocks, so neither
+    the text nor a float per point is held for the whole curve.
+    """
     margin = 40
     span = ROC_SVG_SIZE - 2 * margin
 
@@ -204,21 +260,32 @@ def write_roc_svg(curve: RocCurve, path) -> None:
     def sy(v):
         return ROC_SVG_SIZE - margin - v * span
 
-    points = " ".join(
-        map("{:.2f},{:.2f}".format, sx(curve.fpr).tolist(), sy(curve.tpr).tolist())
-    )
-    svg = (
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{ROC_SVG_SIZE}" height="{ROC_SVG_SIZE}">\n'
         f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
         f'fill="none" stroke="#999"/>\n'
         f'  <line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(1):.2f}" '
         f'stroke="#ccc" stroke-dasharray="4 4"/>\n'
-        f'  <polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>\n'
+        f'  <polyline points="'
+    )
+    tail = (
+        f'" fill="none" stroke="#1f6fb2" stroke-width="2"/>\n'
         f'  <text x="{sx(0.5):.2f}" y="{ROC_SVG_SIZE - 10}" text-anchor="middle">'
         f"false positive rate</text>\n"
         f'  <text x="12" y="{sy(0.5):.2f}" text-anchor="middle" '
         f'transform="rotate(-90 12 {sy(0.5):.2f})">true positive rate</text>\n'
         f"</svg>\n"
     )
-    write_atomic(path, [svg.encode("utf-8")])
+
+    def chunks():
+        yield head.encode("utf-8")
+        for points in _blocks(curve):
+            x = sx(curve.fps[points] / curve.fps[-1])
+            y = sy(curve.tps[points] / curve.tps[-1])
+            text = _points_text(np.column_stack((x, y)))
+            # points are separated by " ", so the last one drops its own
+            yield text if points.stop < len(curve.fps) else text[:-1]
+        yield tail.encode("utf-8")
+
+    write_atomic(path, chunks())

@@ -24,7 +24,7 @@ from .data import (
     write_feature_file,
 )
 from .errors import IoFailure
-from .fileio import write_atomic
+from .fileio import _DIGIT_GROUPS, write_atomic
 from .metrics import CATEGORIES, NORMAL_CATEGORIES, THEFT_CATEGORY, auc
 from .pose import JOINT_COUNT
 
@@ -102,22 +102,17 @@ class SynthSpec:
                 raise ValueError(f"{label} split needs at least one normal video")
 
 
-# The text of every integer below 1000, right-aligned in three bytes with 0
-# bytes to the left of its first digit (0 is "\0\00"): one 3-digit group.
-_DIGIT_GROUPS = np.array(
-    [list(str(v).rjust(3, "\0").encode("ascii")) for v in range(1000)], dtype=np.uint8
-)
-
-
 def _pose_document_json(rng, num_frames: int, width: int, height: int) -> str:
     """One plausible in-frame person per frame, drifting around the image.
 
     The whole document is written into one uint8 array, a row per frame: `[[`,
     JOINT_COUNT fixed-width `[x,y,0.ccc]` records with a separator each, `]]`
-    and `,`. x and y take as many places as max(width, height) has digits,
+    and `,`. x and y take as many places as the largest of them has digits,
     filled from 3-digit groups with 0 bytes left of the first digit, and one
-    `translate` deletes those 0 bytes. Python-level formatting of 54
-    integers per frame dominated generation time for full-size datasets.
+    `translate` deletes those 0 bytes. Pixels past int64, in images 2^63
+    wide or more, are split into groups as Python ints. Python-level
+    formatting of 54 integers per frame dominated generation time for
+    full-size datasets.
     """
     scale = float(rng.uniform(0.35, 0.55)) * height
     cx = float(rng.uniform(0.3, 0.7)) * width
@@ -135,10 +130,15 @@ def _pose_document_json(rng, num_frames: int, width: int, height: int) -> str:
     pts = (_SKELETON[None] + jitter) * scale + centers[:, None, :]
     np.clip(pts[..., 0], 0.0, width, out=pts[..., 0])
     np.clip(pts[..., 1], 0.0, height, out=pts[..., 1])
-    xy = np.rint(pts).astype(np.int64)
+    xy = np.rint(pts)
     conf = rng.integers(300, 1000, size=(num_frames, JOINT_COUNT))
 
-    places = len(str(max(width, height)))
+    top = xy.max(initial=0.0)
+    if top < 2.0**63:
+        rest, split = xy.astype(np.int64), np.divmod
+    else:  # past int64, the digit groups come from Python ints
+        rest, split = np.frompyfunc(int, 1, 1)(xy), np.frompyfunc(divmod, 2, 2)
+    places = len(str(int(top)))
     pad = b"\0" * places
     record = b"[" + pad + b"," + pad + b",0.\0\0\0],"
     frame = b"[[" + (record * JOINT_COUNT)[:-1] + b"]],"
@@ -150,10 +150,9 @@ def _pose_document_json(rng, num_frames: int, width: int, height: int) -> str:
     digits = joints[..., 1 : 2 * places + 3].reshape(
         num_frames, JOINT_COUNT, 2, places + 1
     )[..., :places]
-    rest = xy
     for end in range(places, 0, -3):  # one 3-digit group per pass, low first
-        rest, group = np.divmod(rest, 1000)
-        text = _DIGIT_GROUPS.take(group, axis=0)
+        rest, group = split(rest, 1000)
+        text = _DIGIT_GROUPS.take(group.astype(np.intp, copy=False), axis=0)
         if end < places:  # a number that ended in an earlier pass writes nothing
             text *= more[..., None]
         more = rest > 0

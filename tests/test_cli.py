@@ -10,7 +10,6 @@ from ptde.data import (
     load_checkpoint,
     load_manifest,
     read_feature_file,
-    read_feature_header,
     save_checkpoint,
     write_feature_file,
 )
@@ -162,7 +161,7 @@ class TestScoreCommand:
     def test_line_count_matches_segment_arithmetic(self, dataset, checkpoint, capsys):
         manifest = json.loads(dataset.read_text(encoding="utf-8"))
         video = manifest["videos"][0]
-        clip_count, _ = read_feature_header(dataset.parent / video["feature_file"])
+        clip_count = len(read_feature_file(dataset.parent / video["feature_file"]))
         expected = (clip_count * manifest["clip_length"]) // manifest["segment_length"]
         code = main([
             "score", "--checkpoint", str(checkpoint),

@@ -270,6 +270,88 @@ class TestLoadManifest:
             assert load_manifest(path).record("a").annotations == expected
 
 
+class TestManifestContract:
+    """Each feature file is probed for a regular file and a whole header,
+    and each annotation list for 0/1 values, with these errors."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "dangling symlink"])
+    def test_feature_file_that_is_not_a_file(self, tmp_path, kind):
+        path = make_dataset(tmp_path, [{"id": "a"}, {"id": "b"}])
+        feature = tmp_path / "feat" / "b.ptdf"
+        feature.unlink()
+        if kind == "directory":
+            feature.mkdir()
+        elif kind == "dangling symlink":
+            feature.symlink_to(tmp_path / "feat" / "gone.ptdf")
+        with pytest.raises(MissingFeatureFile) as err:
+            load_manifest(path)
+        assert str(err.value) == str(feature)
+
+    def test_symlink_to_a_feature_file_is_read(self, tmp_path):
+        path = make_dataset(tmp_path, [{"id": "a", "clip_count": 6}])
+        feature = tmp_path / "feat" / "a.ptdf"
+        feature.rename(tmp_path / "target.ptdf")
+        feature.symlink_to(tmp_path / "target.ptdf")
+        assert load_manifest(path).record("a").clip_count == 6
+
+    @pytest.mark.parametrize("size", [0, 1, 15])
+    def test_truncated_header_names_its_byte(self, tmp_path, size):
+        path = make_dataset(tmp_path, [{"id": "a"}])
+        feature = tmp_path / "feat" / "a.ptdf"
+        feature.write_bytes(feature.read_bytes()[:size])
+        with pytest.raises(CorruptFeatureFile) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{feature}: header truncated at byte {size}"
+
+    def test_short_payload_names_its_end(self, tmp_path):
+        path = make_dataset(tmp_path, [{"id": "a", "clip_count": 2}])
+        feature = tmp_path / "feat" / "a.ptdf"
+        feature.write_bytes(feature.read_bytes()[:-4])
+        with pytest.raises(CorruptFeatureFile) as err:
+            load_manifest(path)
+        expected = 16 + 2 * DIM * 4
+        assert str(err.value) == (
+            f"{feature}: expected {expected} bytes, file ends at byte offset {expected - 4}"
+        )
+
+    @pytest.mark.parametrize("bad", [True, False, 2, -1, 0.5, [1], {}, "1", None])
+    def test_annotation_that_is_not_0_or_1(self, tmp_path, bad):
+        # 4 clips * 16 frames = 64 frames -> 2 segments of 32
+        path = make_dataset(
+            tmp_path, [{"id": "a", "clip_count": 4, "annotations": [0, bad]}]
+        )
+        with pytest.raises(ManifestSyntax) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path} videos[0]: annotations must be 0 or 1"
+
+    def test_bad_value_is_reported_before_the_length(self, tmp_path):
+        path = make_dataset(
+            tmp_path, [{"id": "a", "clip_count": 4, "annotations": [1, 0, "1"]}]
+        )
+        with pytest.raises(ManifestSyntax, match="must be 0 or 1"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("annotations", [[0.0, 1.0], [1.0, 0], [0, 1]])
+    def test_whole_floats_are_stored_as_ints(self, tmp_path, annotations):
+        path = make_dataset(
+            tmp_path, [{"id": "a", "clip_count": 4, "annotations": annotations}]
+        )
+        stored = load_manifest(path).record("a").annotations
+        assert stored == tuple(int(v) for v in annotations)
+        assert isinstance(stored, tuple)
+        assert {type(v) for v in stored} == {int}
+
+    def test_length_mismatch_message(self, tmp_path):
+        path = make_dataset(
+            tmp_path, [{"id": "a", "clip_count": 6, "annotations": [1, 0]}]
+        )
+        with pytest.raises(ManifestSyntax) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path} videos[0]: 2 annotations but the video has 3 segments"
+        )
+
+
 class TestLoadVideoBag:
     def test_segment_arithmetic(self, tmp_path):
         # 96 frames with L=32 (2 clips per segment) -> 3 segments

@@ -32,8 +32,9 @@ def tree_bytes(root):
     }
 
 
-def oracle_pose_document_json(rng, num_frames, width, height):
-    """The per-joint f-string writer that `synth._pose_document_json` replaced."""
+def oracle_clipped_points(rng, num_frames, width, height):
+    """The (frames, joints, 2) float pixels of a pose document, clipped to
+    the image, and its (frames, joints) confidences in thousandths."""
     scale = float(rng.uniform(0.35, 0.55)) * height
     cx = float(rng.uniform(0.3, 0.7)) * width
     cy = float(rng.uniform(0.2, 0.4)) * height
@@ -47,8 +48,13 @@ def oracle_pose_document_json(rng, num_frames, width, height):
     pts = (synth._SKELETON[None] + jitter) * scale + centers[:, None, :]
     np.clip(pts[..., 0], 0.0, width, out=pts[..., 0])
     np.clip(pts[..., 1], 0.0, height, out=pts[..., 1])
+    return pts, rng.integers(300, 1000, size=(num_frames, JOINT_COUNT))
+
+
+def oracle_pose_document_json(rng, num_frames, width, height):
+    """The per-joint f-string writer that `synth._pose_document_json` replaced."""
+    pts, conf = oracle_clipped_points(rng, num_frames, width, height)
     xy = np.rint(pts).astype(np.int64)
-    conf = rng.integers(300, 1000, size=(num_frames, JOINT_COUNT))
     frames = []
     for f in range(num_frames):
         person = ",".join(
@@ -101,6 +107,28 @@ class TestPoseDocument:
         millis = np.rint(conf * 1000)
         np.testing.assert_array_equal(conf, millis / 1000)
         assert np.all((millis >= 300) & (millis <= 999))
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [
+            (2**63, 240),
+            (2**63, 2**66),  # x clips at 0 and at the width
+            (2**70, 240),
+            (2**70, 2**73),
+            (int(sys.float_info.max), 240),
+            (int(sys.float_info.max), int(sys.float_info.max)),
+        ],
+        ids=["2^63", "2^63-tall", "2^70", "2^70-tall", "float-max", "float-max-square"],
+    )
+    def test_pixels_past_int64_read_back(self, width, height):
+        """Past int64, a pixel's digits come from the exact integer."""
+        pts, conf = oracle_clipped_points(np.random.default_rng(4), 2, width, height)
+        doc = synth._pose_document_json(np.random.default_rng(4), 2, width, height)
+        values = parse_pose_document(doc)
+        assert values.shape == (2, 1, JOINT_COUNT, 3)
+        np.testing.assert_array_equal(values[:, 0, :, :2], np.rint(pts))
+        np.testing.assert_array_equal(values[:, 0, :, 2], conf / 1000)
+        assert np.rint(pts).max() >= 2.0**62
 
     def test_tree_matches_per_joint_writer(self, tmp_path, monkeypatch):
         generate_synthetic(small_spec(), tmp_path / "new")
