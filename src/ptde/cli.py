@@ -160,15 +160,27 @@ def _check_paths(inputs, outputs) -> None:
         named.append((flag, path, resolved))
 
 
+def _file_id(path):
+    """(st_dev, st_ino) of the file `path` names, or None where there is none."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return st.st_dev, st.st_ino
+
+
 def _check_manifest_files(manifest, outputs) -> None:
     """`_check_paths` for outputs against the files the manifest names. As
-    `load_manifest` found each of them, only an output that exists can be one."""
-    if any(path is not None and os.path.exists(path) for path in outputs.values()):
+    `load_manifest` found each of them, only an output that exists can be
+    one, and only a file with an existing output's device and inode can
+    resolve to its path: only those are resolved."""
+    existing = {_file_id(path) for path in outputs.values() if path is not None} - {None}
+    if existing:
         files = {
             f"the {field} of video {rec.video_id!r}": path
             for rec in manifest.videos
             for field, path in (("feature_file", rec.feature_path), ("pose_file", rec.pose_path))
-            if path is not None
+            if path is not None and _file_id(path) in existing
         }
         _check_paths(files, outputs)
 

@@ -3,7 +3,8 @@
 `write_atomic` is the only code in ptde that opens a file for writing:
 PTDF feature files, checkpoints, run logs, ROC CSV and SVG files, and
 synth's pose documents and manifest all go through it. `_DIGIT_GROUPS`
-is the digit table of the writers that build their text as byte arrays.
+is the digit table of synth's pose documents and the ROC SVG, which build
+their text as byte arrays.
 """
 
 import os

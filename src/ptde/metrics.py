@@ -10,7 +10,6 @@ per-video offsets.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -170,40 +169,226 @@ def _blocks(curve: RocCurve):
     return (slice(lo, lo + step) for lo in range(0, len(curve.fps), step))
 
 
-def _rate_rows(counts: np.ndarray, total):
-    """`repr` of each `counts / total`, formatted once per run of equal rates.
+def _ascii_words(chars: np.ndarray) -> np.ndarray:
+    """Rows of at most 8 ASCII bytes (0 for none) as uint64 words whose
+    little-endian bytes are the row."""
+    padded = np.zeros((len(chars), 8), dtype=np.uint8)
+    padded[:, : chars.shape[1]] = chars
+    return padded.view("<u8")[:, 0].astype(np.uint64)
 
-    Runs are of bitwise-equal rates: -0.0 == 0.0, but their texts differ.
+
+# 10**p as the unevaluated sum of two float64s, from exact integers: the
+# first is 10**p rounded, the second the rounded rest (0 up to 10**22)
+_POW10_MAX = 300
+_POW10 = np.array([float(10**p) for p in range(_POW10_MAX + 1)])
+_POW10_REST = np.array([float(10**p - int(t)) for p, t in enumerate(_POW10.tolist())])
+_POW10_HALVES = _halves(_POW10)
+# far more than the error of `_shortest_digits`'s product (under 1e-13 at
+# its scale), far less than the steps it rounds to
+_REPR_MARGIN = 2.0**-20
+
+
+def _four_digit_words():
+    """The texts "0000" to "9999" as `_ascii_words`, then the same with
+    their trailing zeros as 0 bytes."""
+    values = np.arange(10000, dtype=np.int16)
+    places = (1000, 100, 10, 1)
+    chars = np.stack([values // place % 10 + 48 for place in places], axis=1)
+    # a digit is kept where it, or a digit after it, is not 0
+    kept = np.stack([values % (10 * place) != 0 for place in places], axis=1)
+    return np.concatenate([_ascii_words(chars), _ascii_words(chars * kept)])
+
+
+_FOUR_DIGITS = _four_digit_words()
+# "e-400" to "e+399": the exponent of `repr`'s scientific form, index e + 400
+_EXPONENTS = _ascii_words(
+    np.array([list(f"e{e:+03d}".encode().ljust(5, b"\0")) for e in range(-400, 400)])
+)
+# bytes_below(c) is the mask of a word's first c bytes, for c clipped to [0, 8]
+_BYTES_BELOW = np.array([2 ** (8 * min(max(c, 0), 8)) - 1 for c in range(-16, 32)], dtype=np.uint64)
+_ZEROS, _POINTS = np.uint64(0x3030303030303030), np.uint64(0x2E2E2E2E2E2E2E2E)
+_SMALL_LEAD = np.uint64(int.from_bytes(b"0.000", "little"))
+_REPR_WIDTH = 32  # bytes per value: four words, the last byte left for a separator
+
+
+def _bytes_below(c):
+    return _BYTES_BELOW.take(c + 16)
+
+
+def _shortest_digits(a: np.ndarray):
+    """The digits and decimal point of `repr` for each positive float64.
+
+    Returns (digits, point, exact): `digits` is a 17-digit integer whose
+    leading significant digits, before its trailing zeros, are those of
+    `repr`, and the value is 0.digits * 10**point. `repr` gives the fewest
+    significant digits that read back to the same float, and of those the
+    nearest. The exact product a * 10**p at 17 digits (Dekker's, against
+    10**p as two floats) is rounded to the nearest integer n; the 15- and
+    16-digit roundings of a * 10**p are taken from n's last two digits and
+    the residual, and one is kept when it lies inside half the gap to the
+    neighbouring floats by `_REPR_MARGIN`, else n itself. `exact` is False
+    where the margin cannot decide, near a tie or the edge of that interval,
+    and at a power of two (whose lower gap is half the upper), 0, a
+    subnormal, an infinity, NaN, or a value outside [2**-943, 2**54), past
+    the table of 10**p.
     """
+    bits = a.view(np.int64)
+    power2 = (bits >> 52) - 1023
+    # floor(power2 * log10(2)) is floor(log10(a)) or one less, so a * 10**p
+    # lies in [10**16, 10**18): one step down where it reaches 10**17
+    p = 16 - ((power2 * 78913) >> 18)
+    exact = ((bits & 0xFFFFFFFFFFFFF) != 0) & (p >= 1) & (p <= _POW10_MAX)
+    # the rest stand in as 1.5, so that the arithmetic below stays finite
+    a = np.where(exact, a, 1.5)
+    p = np.where(exact, p, 16)
+    p -= a * _POW10.take(p) >= 1e17
+    high = _POW10.take(p)
+    product = a * high
+    a_high, a_low = _halves(a)
+    h_high, h_low = _POW10_HALVES[0].take(p), _POW10_HALVES[1].take(p)
+    # a * 10**p == product + rest, to well within the margin
+    rest = ((a_high * h_high - product) + a_high * h_low + a_low * h_high) + a_low * h_low
+    rest += a * _POW10_REST.take(p)
+    # product is an integer, a multiple of 2 or more past 2**53: n takes
+    # in the rounding of rest
+    rest_int = np.rint(rest)
+    residual = rest - rest_int
+    n = product.astype(np.int64) + rest_int.astype(np.int64)
+    exact &= (n >= 10**16) & (n < 10**17)
+    # half the gap to either neighbouring float, at the product's scale
+    half_gap = (bits & 0x7FF0000000000000).view(np.float64) * 2.0**-53 * high
+    tens, hundreds = n // 10, n // 100
+    from_ten = (n - tens * 10) + residual  # a * 10**p above tens * 10
+    from_hundred = (n - hundreds * 100) + residual
+    off16 = np.minimum(np.abs(from_ten), 10 - from_ten)  # to the nearest multiple of 10
+    off15 = np.minimum(np.abs(from_hundred), 100 - from_hundred)
+    use15 = off15 < half_gap - _REPR_MARGIN
+    use16 = (
+        (off15 > half_gap + _REPR_MARGIN)
+        & (off16 < half_gap - _REPR_MARGIN)
+        & (np.abs(from_ten - 5) > _REPR_MARGIN)  # two nearest 16-digit candidates
+    )
+    use17 = (off16 > half_gap + _REPR_MARGIN) & (np.abs(residual) < 0.5 - _REPR_MARGIN)
+    exact &= use15 | use16 | use17
+    digits = np.where(
+        use15,
+        (hundreds + (from_hundred >= 50)) * 100,
+        np.where(use16, (tens + (from_ten >= 5)) * 10, n),
+    )
+    # rounding up to 10**17 adds a digit
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    return digits, 17 - p + carry, exact
+
+
+def _repr_fields(values: np.ndarray) -> np.ndarray:
+    """`repr` of each value's Python scalar, one row of bytes per value.
+
+    A row holds its text among 0 bytes and is longer than the text, so its
+    last byte is always 0: a writer may set it, and deletes the 0 bytes
+    with one `bytes.translate`. Float values are written from
+    `_shortest_digits` through the digit tables, as four uint64 words whose
+    little-endian bytes are the row: the sign and the "0.000" lead of a
+    fixed form below 1, then the digits less their trailing zeros with the
+    point put in, then the exponent of the scientific form. Values it
+    cannot decide, and values of any other dtype, are formatted one by one
+    with `repr`.
+    """
+    n = len(values)
+    words = np.zeros((n, _REPR_WIDTH // 8), dtype="<u8")
+    if values.dtype.kind == "f" and values.dtype.itemsize <= 8:
+        v = values.astype(np.float64, copy=False)
+        digits, point, exact = _shortest_digits(np.abs(v))
+        lead, rest = np.divmod(digits, 10**16)
+        upper, lower = np.divmod(rest, 10**8)
+        groups = [*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)]
+        # a group is written without its trailing zeros when every group after it is 0
+        after_zero = np.ones(n, dtype=bool)
+        text = [None] * 4
+        for i in (3, 2, 1, 0):
+            text[i] = _FOUR_DIGITS.take(groups[i] + 10000 * after_zero)
+            after_zero &= groups[i] == 0
+        # the 17 digits' bytes, or 0 for a trailing zero
+        chars = [
+            (lead.astype(np.uint64) + np.uint64(0x30)) | (text[0] << 8) | (text[1] << 40),
+            (text[1] >> 24) | (text[2] << 8) | (text[3] << 40),
+            text[3] >> 24,
+        ]
+        scientific = (point <= -4) | (point > 16)
+        fixed = ~scientific & (point > 0)  # digits before the point
+        # the point goes after `before` digits, and `after` is one past it
+        # where there is one; "0.000ddd" has its point in the lead
+        before = np.where(fixed, point, scientific.astype(np.int64))
+        after = before + (fixed | (scientific & ((chars[0] >> 8 | chars[1] | chars[2]) != 0)))
+        # fixed keeps its zeros up to the point, and one after it
+        keep = (point + 1) * fixed
+        # each word: the digits before the point, the point, then the other
+        # digits one byte up, carried across words
+        carried = np.uint64(0)
+        for i in range(3):
+            first = _bytes_below(before - 8 * i)
+            word = chars[i] | (_ZEROS & _bytes_below(keep - 8 * i))
+            second = word & ~first
+            words[:, 1 + i] = (
+                (word & first)
+                | (_POINTS & _bytes_below(after - 8 * i) & ~first)
+                | (second << 8)
+                | (carried >> 56)
+            )
+            carried = second
+        small = ~scientific & ~fixed
+        lead_text = _SMALL_LEAD & _bytes_below((2 - point) * small)
+        words[:, 0] = (np.signbit(v) * np.uint64(0x2D)) | (lead_text << 8)
+        # the exponent, point - 1, after the 18 bytes of digits and point
+        words[:, 3] |= (_EXPONENTS.take(point + 399) * scientific) << 16
+    else:
+        exact = np.zeros(n, dtype=bool)
+    fields = words.view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        texts = [repr(x).encode("utf-8") for x in values[slow].tolist()]
+        width = max(_REPR_WIDTH, max(map(len, texts)) + 1)
+        if width > _REPR_WIDTH:
+            fields = np.pad(fields, ((0, 0), (0, width - _REPR_WIDTH)))
+        padded = b"".join(t.ljust(width, b"\0") for t in texts)
+        fields[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+    return fields
+
+
+def _rate_fields(counts: np.ndarray, total) -> np.ndarray:
+    """`_repr_fields` of each `counts / total`, formatted once per run of
+    equal rates. Runs are of bitwise-equal rates: -0.0 == 0.0, but their
+    texts differ."""
     rates = counts / total
     after = rates[1:]
     change = (rates[:-1] != after) | (np.signbit(rates[:-1]) != np.signbit(after))
     starts = np.flatnonzero(np.concatenate(([True], change)))
     lengths = np.diff(starts, append=rates.size)
-    texts = map(repr, rates[starts].tolist())
-    return chain.from_iterable(map(repeat, texts, lengths.tolist()))
+    return np.repeat(_repr_fields(rates[starts]), lengths, axis=0)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """CSV export: header `threshold,fpr,tpr`, one row per curve point.
 
     Values are written as `repr` of a Python float: the shortest text that
-    reads back to the same float64. Thresholds are formatted one by one,
-    since -0.0 and 0.0 must stay distinct; a rate is an integer count over
-    its total and is formatted once per run of equal counts. Rows are
-    formatted, encoded and written in blocks, so neither the text nor a
-    string per row is held for the whole curve.
+    reads back to the same float64. Each block of rows is formatted as
+    arrays (`_repr_fields`): a threshold per point, and a rate, an integer
+    count over its total, once per run of equal counts. The separators
+    fill each field's last byte and one `translate` deletes the padding,
+    so neither the text nor a string per row is held for the whole curve.
     """
 
     def chunks():
         yield b"threshold,fpr,tpr\n"
         for rows in _blocks(curve):
-            lines = zip(
-                map(repr, curve.thresholds[rows].tolist()),
-                _rate_rows(curve.fps[rows], curve.fps[-1]),
-                _rate_rows(curve.tps[rows], curve.tps[-1]),
+            fields = (
+                _repr_fields(curve.thresholds[rows]),
+                _rate_fields(curve.fps[rows], curve.fps[-1]),
+                _rate_fields(curve.tps[rows], curve.tps[-1]),
             )
-            yield ("\n".join(map(",".join, lines)) + "\n").encode("utf-8")
+            for field, end in zip(fields, b",,\n"):
+                field[:, -1] = end
+            yield np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
 
     write_atomic(path, chunks())
 

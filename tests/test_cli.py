@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 
@@ -597,6 +598,51 @@ class TestOutputPaths:
             "usage error: " + needle,
             ("load_split_bags", "train", "scored_test_segments"),
         )
+
+    @staticmethod
+    def _roc_to(link_output, dataset, checkpoint, tmp_path):
+        """`ptde roc` on a copy of the dataset, its CSV at an output that
+        `link_output(feature_file, output)` makes; returns the exit code,
+        the feature file and its bytes before the run."""
+        root = tmp_path / "data"
+        shutil.copytree(dataset.parent, root)
+        feature = root / "features" / "test_pickup_000.ptdf"
+        before = feature.read_bytes()
+        output = tmp_path / "roc.csv"
+        link_output(feature, output)
+        code = main([
+            "roc", "--checkpoint", str(checkpoint),
+            "--manifest", str(root / "manifest.json"), "--out-csv", str(output),
+        ])
+        return code, feature, before
+
+    def test_symlink_output_to_a_feature_file_is_refused(
+        self, dataset, checkpoint, tmp_path, capsys
+    ):
+        code, feature, before = self._roc_to(
+            lambda feature, output: output.symlink_to(feature), dataset, checkpoint, tmp_path
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "usage error: --out-csv and the feature_file of video 'test_pickup_000' "
+            f"name the same file {feature}"
+        ) in captured.err
+        assert feature.read_bytes() == before
+        assert (tmp_path / "roc.csv").is_symlink()
+
+    def test_hard_link_output_replaces_only_the_link(
+        self, dataset, checkpoint, tmp_path, capsys
+    ):
+        """A hard link is another name of the feature file, not the same
+        path: `os.replace` swaps the name, and the feature file keeps its bytes."""
+        code, feature, before = self._roc_to(os.link, dataset, checkpoint, tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out.startswith("auc ")
+        assert feature.read_bytes() == before
+        assert (tmp_path / "roc.csv").read_bytes().startswith(b"threshold,fpr,tpr\n")
+        assert feature.stat().st_nlink == 1
 
 
 class TestContractErrors:
